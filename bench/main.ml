@@ -876,11 +876,10 @@ let make_engine_runners () =
         cos (float_of_int (List.nth idx 1 - List.nth idx 2)));
     fun ~engine ?opt () ->
       let rc = Cora.Ragged.alloc t.Matmul.Vgemm.c lenv in
-      let env, _ =
-        Cora.Exec.run_ragged ~engine ?opt ~lenv ~tensors:[ ra; rb; rc ]
-          [ t.Matmul.Vgemm.kernel ]
-      in
-      (Array.copy (Runtime.Buffer.floats rc.Cora.Ragged.buf), env)
+      ignore
+        (Cora.Exec.run_ragged ~engine ?opt ~lenv ~tensors:[ ra; rb; rc ]
+           [ t.Matmul.Vgemm.kernel ]);
+      Array.copy (Runtime.Buffer.floats rc.Cora.Ragged.buf)
   in
   (* encoder: the tiny config, full nine-kernel layer on the Cpu target. *)
   let encoder =
@@ -925,12 +924,11 @@ let make_engine_runners () =
           ]
       in
       let out_r = List.nth data (List.length data - 1) in
-      let env, _ =
-        Cora.Exec.run_ragged ~engine ?opt ~lenv
-          ~tensors:(weights @ (in_r :: data))
-          (Transformer.Builder.kernels built)
-      in
-      (Array.copy (Runtime.Buffer.floats out_r.Cora.Ragged.buf), env)
+      ignore
+        (Cora.Exec.run_ragged ~engine ?opt ~lenv
+           ~tensors:(weights @ (in_r :: data))
+           (Transformer.Builder.kernels built));
+      Array.copy (Runtime.Buffer.floats out_r.Cora.Ragged.buf)
   in
   [ ("vgemm", vgemm); ("encoder", encoder) ]
 
@@ -943,8 +941,8 @@ let engine_bench () =
           engine:Cora.Exec.engine ->
           ?opt:Ir.Optimize.level ->
           unit ->
-          float array * Runtime.Interp.env) ) =
-    let run ~engine () = fst (runner ~engine ()) in
+          float array) ) =
+    let run ~engine () = runner ~engine () in
     let out_i = run ~engine:`Interp () and out_c = run ~engine:`Compiled () in
     let matches = bits out_i = bits out_c in
     let interp_ns = time_one (run ~engine:`Interp) in
@@ -968,13 +966,11 @@ let engine_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* The optimization pipeline A/B: the compiled engine at O0 / O1 / O2 / O3
-   on the same workloads, wall time + scalar-op counts.  Outputs are
-   bitwise-compared against the interpreter at every level first, so a
-   reported speedup is always a speedup on identical results; scalar-op
-   counts fall with the level (hoisted ufun reads, fused microkernels),
-   which is the documented counter divergence. *)
+   on the same workloads, wall time.  Outputs are bitwise-compared against
+   the interpreter at every level first, so a reported speedup is always a
+   speedup on identical results. *)
 let opt_bench () =
-  header "opt — compiled engine at O0 / O1 / O2 / O3 (wall time, scalar ops)";
+  header "opt — compiled engine at O0 / O1 / O2 / O3 (wall time)";
   let bits = Array.map Int64.bits_of_float in
   let levels = [ Ir.Optimize.O0; Ir.Optimize.O1; Ir.Optimize.O2; Ir.Optimize.O3 ] in
   let bench
@@ -983,30 +979,26 @@ let opt_bench () =
           engine:Cora.Exec.engine ->
           ?opt:Ir.Optimize.level ->
           unit ->
-          float array * Runtime.Interp.env) ) =
-    let ref_out = fst (runner ~engine:`Interp ()) in
+          float array) ) =
+    let ref_out = runner ~engine:`Interp () in
     let per_level =
       List.map
         (fun opt ->
-          let out, env = runner ~engine:`Compiled ~opt () in
-          let matches = bits out = bits ref_out in
-          let scalar_ops =
-            env.Runtime.Interp.loads + env.Runtime.Interp.stores + env.Runtime.Interp.flops
-          in
+          let matches = bits (runner ~engine:`Compiled ~opt ()) = bits ref_out in
           let ns = time_one (runner ~engine:`Compiled ~opt) in
-          (Ir.Optimize.level_name opt, ns, scalar_ops, matches))
+          (Ir.Optimize.level_name opt, ns, matches))
         levels
     in
     let ns_of lvl =
-      match List.find_opt (fun (l, _, _, _) -> l = lvl) per_level with
-      | Some (_, ns, _, _) -> ns
+      match List.find_opt (fun (l, _, _) -> l = lvl) per_level with
+      | Some (_, ns, _) -> ns
       | None -> nan
     in
     let speedup = ns_of "O0" /. ns_of "O2" in
     let speedup_o3 = ns_of "O2" /. ns_of "O3" in
     List.iter
-      (fun (lvl, ns, ops, matches) ->
-        line "%-10s %-3s %10.0f ns   %9d scalar ops   outputs %s" name lvl ns ops
+      (fun (lvl, ns, matches) ->
+        line "%-10s %-3s %10.0f ns   outputs %s" name lvl ns
           (if matches then "bit-identical" else "DIFFER"))
       per_level;
     line "%-10s O2 speedup over O0: %5.2fx   O3 speedup over O2: %5.2fx" name speedup
@@ -1014,11 +1006,10 @@ let opt_bench () =
     ( name,
       Obs.Json.Obj
         (List.concat_map
-           (fun (lvl, ns, ops, matches) ->
+           (fun (lvl, ns, matches) ->
              let p = String.lowercase_ascii lvl in
              [
                (p ^ "_ns", Obs.Json.Float ns);
-               (p ^ "_scalar_ops", Obs.Json.Int ops);
                (p ^ "_outputs_match", Obs.Json.Bool matches);
              ])
            per_level
@@ -1053,9 +1044,9 @@ let o3_bench () =
           engine:Cora.Exec.engine ->
           ?opt:Ir.Optimize.level ->
           unit ->
-          float array * Runtime.Interp.env) ) =
-    let ref_out = fst (runner ~engine:`Interp ()) in
-    let check opt = bits (fst (runner ~engine:`Compiled ~opt ())) = bits ref_out in
+          float array) ) =
+    let ref_out = runner ~engine:`Interp () in
+    let check opt = bits (runner ~engine:`Compiled ~opt ()) = bits ref_out in
     let matches = check Ir.Optimize.O2 && check Ir.Optimize.O3 in
     let o2_ns = best_of_3 (runner ~engine:`Compiled ~opt:Ir.Optimize.O2) in
     let o3_ns = best_of_3 (runner ~engine:`Compiled ~opt:Ir.Optimize.O3) in

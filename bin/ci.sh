@@ -7,6 +7,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# json_field JSON FIELD [VALUE_RE] — print the value of "FIELD" in the
+# one-line JSON object JSON (VALUE_RE defaults to a number).  Exits
+# nonzero, naming the field, when it is missing or its value does not
+# match, so no gate ever compares a stray line.  Call it only as a plain
+# assignment, x=$(json_field ...), so set -e sees the failure.
+json_field() {
+  v=$(printf '%s\n' "$1" | sed -n "s/.*\"$2\":\(${3:-[0-9.eE+-]*}\).*/\1/p")
+  test -n "$v" || { echo "ci: JSON field $2 missing or malformed" >&2; exit 1; }
+  printf '%s\n' "$v"
+}
+
 echo "== dune build @check" >&2
 dune build @check
 
@@ -37,13 +48,17 @@ json=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream.txt")
 test -n "$json" || { echo "ci: no BENCH_STREAM line" >&2; exit 1; }
 echo "$json" | grep -q '"seed":' || { echo "ci: stream seed not documented" >&2; exit 1; }
 for field in compile_hit_rate prelude_hit_rate; do
-  rate=$(echo "$json" | sed "s/.*\"$field\":\([0-9.eE+-]*\).*/\1/")
+  rate=$(json_field "$json" "$field")
   awk -v r="$rate" 'BEGIN { exit (r > 0 && r <= 1) ? 0 : 1 }' \
     || { echo "ci: $field=$rate not in (0, 1]" >&2; exit 1; }
 done
-hostns=$(echo "$json" | sed 's/.*"prelude_host_ns_on_hits":\([0-9.eE+-]*\).*/\1/')
+hostns=$(json_field "$json" prelude_host_ns_on_hits)
 awk -v h="$hostns" 'BEGIN { exit (h == 0) ? 0 : 1 }' \
   || { echo "ci: prelude host work on hits is $hostns, expected 0" >&2; exit 1; }
+# scalar work is counted only by the interpreter, which this step runs
+ops=$(json_field "$json" scalar_ops_per_sec)
+awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
+  || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --smoke" >&2
 # Same stream, executed through the compiled closure engine.  --smoke
@@ -57,12 +72,9 @@ cjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_compiled.txt")
 test -n "$cjson" || { echo "ci: no BENCH_STREAM line (compiled)" >&2; exit 1; }
 echo "$cjson" | grep -q '"engine":"compiled"' \
   || { echo "ci: compiled run not labelled engine=compiled" >&2; exit 1; }
-entries=$(echo "$cjson" | sed 's/.*"engine_cache_entries":\([0-9]*\).*/\1/')
+entries=$(json_field "$cjson" engine_cache_entries)
 awk -v n="$entries" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
   || { echo "ci: engine cache has $entries entries, expected > 0" >&2; exit 1; }
-ops=$(echo "$cjson" | sed 's/.*"scalar_ops_per_sec":\([0-9.eE+-]*\).*/\1/')
-awk -v o="$ops" 'BEGIN { exit (o > 0) ? 0 : 1 }' \
-  || { echo "ci: scalar_ops_per_sec=$ops, expected > 0" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --opt 2 --smoke" >&2
 # Same stream at the highest optimization level.  --smoke keeps the bitwise
@@ -78,9 +90,8 @@ ojson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_opt.txt")
 test -n "$ojson" || { echo "ci: no BENCH_STREAM line (opt)" >&2; exit 1; }
 echo "$ojson" | grep -q '"opt":2' \
   || { echo "ci: opt run not labelled opt=2" >&2; exit 1; }
-wmiss=$(echo "$ojson" | sed 's/.*"window_arena_miss":\[\([0-9,]*\)\].*/\1/')
-test -n "$wmiss" || { echo "ci: no window_arena_miss in JSON" >&2; exit 1; }
-echo "$wmiss" | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
+wmiss=$(json_field "$ojson" window_arena_miss '\[[0-9,]*\]')
+echo "$wmiss" | tr -d '[]' | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
   || { echo "ci: arena misses grew after first window ($wmiss)" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --engine compiled --opt 3 --smoke" >&2
@@ -96,8 +107,8 @@ o3json=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_o3.txt")
 test -n "$o3json" || { echo "ci: no BENCH_STREAM line (opt 3)" >&2; exit 1; }
 echo "$o3json" | grep -q '"opt":3' \
   || { echo "ci: O3 run not labelled opt=3" >&2; exit 1; }
-ck0=$(echo "$cjson" | sed 's/.*"stream_checksum":"\([0-9a-f]*\)".*/\1/')
-ck3=$(echo "$o3json" | sed 's/.*"stream_checksum":"\([0-9a-f]*\)".*/\1/')
+ck0=$(json_field "$cjson" stream_checksum '"[0-9a-f]*"')
+ck3=$(json_field "$o3json" stream_checksum '"[0-9a-f]*"')
 test -n "$ck0" && test "$ck0" = "$ck3" \
   || { echo "ci: O3 stream digest $ck3 diverges from O0's $ck0" >&2; exit 1; }
 
@@ -111,11 +122,11 @@ dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --opt 3 \
 o3djson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_o3_domains.txt")
 test -n "$o3djson" || { echo "ci: no BENCH_STREAM line (opt 3 domains)" >&2; exit 1; }
 for field in rejected deadline_exceeded errors; do
-  n=$(echo "$o3djson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$o3djson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on the O3 concurrent stream, expected 0" >&2; exit 1; }
 done
-ck3d=$(echo "$o3djson" | sed 's/.*"stream_checksum":"\([0-9a-f]*\)".*/\1/')
+ck3d=$(json_field "$o3djson" stream_checksum '"[0-9a-f]*"')
 test "$ck0" = "$ck3d" \
   || { echo "ci: concurrent O3 stream digest $ck3d diverges from O0's $ck0" >&2; exit 1; }
 
@@ -133,8 +144,10 @@ for i in 1 2 3; do
   test -n "$o3b" || { echo "ci: no BENCH_O3 line (run $i)" >&2; exit 1; }
   echo "$o3b" | grep -q '"outputs_match":false' \
     && { echo "ci: O3 outputs diverge from the interpreter" >&2; exit 1; }
-  vg=$(echo "$o3b" | sed 's/.*"vgemm":{[^}]*"speedup_o3_vs_o2":\([0-9.eE+-]*\).*/\1/')
-  enc=$(echo "$o3b" | sed 's/.*"encoder":{[^}]*"speedup_o3_vs_o2":\([0-9.eE+-]*\).*/\1/')
+  vgobj=$(json_field "$o3b" vgemm '{[^}]*}')
+  encobj=$(json_field "$o3b" encoder '{[^}]*}')
+  vg=$(json_field "$vgobj" speedup_o3_vs_o2)
+  enc=$(json_field "$encobj" speedup_o3_vs_o2)
   if awk -v a="$vg" -v b="$best_vg" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_vg=$vg; fi
   if awk -v a="$enc" -v b="$best_enc" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_enc=$enc; fi
 done
@@ -158,11 +171,11 @@ test -n "$djson" || { echo "ci: no BENCH_STREAM line (domains)" >&2; exit 1; }
 echo "$djson" | grep -q '"domains":4' \
   || { echo "ci: concurrent run not labelled domains=4" >&2; exit 1; }
 for field in rejected deadline_exceeded errors; do
-  n=$(echo "$djson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$djson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on an unloaded stream, expected 0" >&2; exit 1; }
 done
-goodput=$(echo "$djson" | sed 's/.*"goodput_rps":\([0-9.eE+-]*\).*/\1/')
+goodput=$(json_field "$djson" goodput_rps)
 awk -v g="$goodput" 'BEGIN { exit (g > 0) ? 0 : 1 }' \
   || { echo "ci: goodput_rps=$goodput, expected > 0" >&2; exit 1; }
 
@@ -180,11 +193,11 @@ bjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_batch_serial.txt")
 test -n "$bjson" || { echo "ci: no BENCH_STREAM line (batching serial)" >&2; exit 1; }
 echo "$bjson" | grep -q '"batching":true' \
   || { echo "ci: batched run not labelled batching=true" >&2; exit 1; }
-nbatches=$(echo "$bjson" | sed 's/.*"batches":\([0-9]*\).*/\1/')
+nbatches=$(json_field "$bjson" batches)
 awk -v n="$nbatches" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
   || { echo "ci: batches=$nbatches, expected > 0" >&2; exit 1; }
-bwmiss=$(echo "$bjson" | sed 's/.*"window_arena_miss":\[\([0-9,]*\)\].*/\1/')
-echo "$bwmiss" | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
+bwmiss=$(json_field "$bjson" window_arena_miss '\[[0-9,]*\]')
+echo "$bwmiss" | tr -d '[]' | awk -F, '{ for (i = 2; i <= NF; i++) if ($i > 0) exit 1 }' \
   || { echo "ci: batched arena misses grew after first window ($bwmiss)" >&2; exit 1; }
 
 echo "== cora bench-stream --exec --domains 4 --batching --smoke" >&2
@@ -201,15 +214,15 @@ dune exec bin/cora_cli.exe -- bench-stream --exec --domains 4 --batching --smoke
 cbjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_batch_domains.txt")
 test -n "$cbjson" || { echo "ci: no BENCH_STREAM line (batching domains)" >&2; exit 1; }
 for field in rejected deadline_exceeded errors evicted; do
-  n=$(echo "$cbjson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$cbjson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on an unloaded batched stream, expected 0" >&2; exit 1; }
 done
-mbs=$(echo "$cbjson" | sed 's/.*"mean_batch_size":\([0-9.eE+-]*\).*/\1/')
+mbs=$(json_field "$cbjson" mean_batch_size)
 awk -v m="$mbs" 'BEGIN { exit (m > 1) ? 0 : 1 }' \
   || { echo "ci: mean_batch_size=$mbs, expected > 1" >&2; exit 1; }
-pwf=$(echo "$cbjson" | sed 's/.*"padding_waste_frac":\([0-9.eE+-]*\).*/\1/')
-upwf=$(echo "$cbjson" | sed 's/.*"unbatched_padding_waste_frac":\([0-9.eE+-]*\).*/\1/')
+pwf=$(json_field "$cbjson" padding_waste_frac)
+upwf=$(json_field "$cbjson" unbatched_padding_waste_frac)
 awk -v p="$pwf" -v u="$upwf" 'BEGIN { exit (p < u) ? 0 : 1 }' \
   || { echo "ci: batched padding waste $pwf not below unbatched $upwf" >&2; exit 1; }
 
@@ -235,8 +248,8 @@ grep -q '"sig":' "$tmpdir/flight.json" \
   || { echo "ci: flight records carry no raggedness signatures" >&2; exit 1; }
 tail -c 16 "$tmpdir/metrics.om" | grep -q "# EOF" \
   || { echo "ci: openmetrics output not terminated by # EOF" >&2; exit 1; }
-grep -q "^# TYPE cora_serve_latency_ns histogram" "$tmpdir/metrics.om" \
-  || { echo "ci: serve latency histogram missing from exposition" >&2; exit 1; }
+grep -q "^# TYPE cora_serve_model_ns histogram" "$tmpdir/metrics.om" \
+  || { echo "ci: serve model-time histogram missing from exposition" >&2; exit 1; }
 awk '
   $1 ~ /_bucket\{le="\+Inf"\}$/ {
     b = $1; sub(/_bucket\{le="\+Inf"\}$/, "", b); infc[b] = $2 + 0; next
@@ -270,8 +283,7 @@ best_off=""
 for i in 1 2 3; do
   dune exec bin/cora_cli.exe -- bench-stream --exec --domains 4 \
     > "$tmpdir/stream_off_$i.txt"
-  w=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_off_$i.txt" \
-    | sed 's/.*"wall_ns":\([0-9.eE+-]*\).*/\1/')
+  w=$(json_field "$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_off_$i.txt")" wall_ns)
   if [ -z "$best_off" ] || awk -v a="$w" -v b="$best_off" 'BEGIN { exit (a < b) ? 0 : 1 }'; then
     best_off=$w
   fi
@@ -280,8 +292,7 @@ best_on=""
 for i in 1 2 3; do
   dune exec bin/cora_cli.exe -- bench-stream --exec --domains 4 \
     --trace-out "$tmpdir/trace_on_$i.json" > "$tmpdir/stream_on_$i.txt" 2> /dev/null
-  w=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_on_$i.txt" \
-    | sed 's/.*"wall_ns":\([0-9.eE+-]*\).*/\1/')
+  w=$(json_field "$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_on_$i.txt")" wall_ns)
   if [ -z "$best_on" ] || awk -v a="$w" -v b="$best_on" 'BEGIN { exit (a < b) ? 0 : 1 }'; then
     best_on=$w
   fi
@@ -303,14 +314,14 @@ test -n "$ajson" || { echo "ci: no BENCH_STREAM line (autotune)" >&2; exit 1; }
 echo "$ajson" | grep -q '"autotune":true' \
   || { echo "ci: autotune run not labelled autotune=true" >&2; exit 1; }
 for field in rejected deadline_exceeded errors; do
-  n=$(echo "$ajson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$ajson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on an autotuned stream, expected 0" >&2; exit 1; }
 done
-wins=$(echo "$ajson" | sed 's/.*"autotune_tuned_wins":\([0-9]*\).*/\1/')
+wins=$(json_field "$ajson" autotune_tuned_wins)
 awk -v w="$wins" 'BEGIN { exit (w >= 1) ? 0 : 1 }' \
   || { echo "ci: autotune_tuned_wins=$wins, expected >= 1" >&2; exit 1; }
-entries=$(echo "$ajson" | sed 's/.*"autotune_memo_entries":\([0-9]*\).*/\1/')
+entries=$(json_field "$ajson" autotune_memo_entries)
 awk -v n="$entries" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
   || { echo "ci: autotune memo is empty after the replay" >&2; exit 1; }
 
@@ -331,8 +342,8 @@ best_ratio=0
 for i in 1 2 3; do
   sjson=$(dune exec bin/cora_cli.exe -- bench-stream --requests 5000 --autotune --smoke \
     | sed -n 's/^BENCH_STREAM //p')
-  sh=$(echo "$sjson" | sed 's/.*"autotune_steady_hand_rps":\([0-9.eE+-]*\).*/\1/')
-  st=$(echo "$sjson" | sed 's/.*"autotune_steady_tuned_rps":\([0-9.eE+-]*\).*/\1/')
+  sh=$(json_field "$sjson" autotune_steady_hand_rps)
+  st=$(json_field "$sjson" autotune_steady_tuned_rps)
   r=$(awk -v t="$st" -v h="$sh" 'BEGIN { printf "%.4f", (h > 0) ? t / h : 0 }')
   if awk -v r="$r" -v best="$best_ratio" 'BEGIN { exit (r > best) ? 0 : 1 }'; then best_ratio=$r; fi
 done
@@ -348,8 +359,8 @@ best_ratio3=0
 for i in 1 2 3; do
   s3json=$(dune exec bin/cora_cli.exe -- bench-stream --requests 5000 \
     --engine compiled --opt 3 --autotune --smoke | sed -n 's/^BENCH_STREAM //p')
-  sh=$(echo "$s3json" | sed 's/.*"autotune_steady_hand_rps":\([0-9.eE+-]*\).*/\1/')
-  st=$(echo "$s3json" | sed 's/.*"autotune_steady_tuned_rps":\([0-9.eE+-]*\).*/\1/')
+  sh=$(json_field "$s3json" autotune_steady_hand_rps)
+  st=$(json_field "$s3json" autotune_steady_tuned_rps)
   r=$(awk -v t="$st" -v h="$sh" 'BEGIN { printf "%.4f", (h > 0) ? t / h : 0 }')
   if awk -v r="$r" -v best="$best_ratio3" 'BEGIN { exit (r > best) ? 0 : 1 }'; then
     best_ratio3=$r
@@ -368,11 +379,11 @@ dune exec bin/cora_cli.exe -- bench-stream --exec --autotune --domains 4 --smoke
 adjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_autotune_domains.txt")
 test -n "$adjson" || { echo "ci: no BENCH_STREAM line (autotune domains)" >&2; exit 1; }
 for field in rejected deadline_exceeded errors; do
-  n=$(echo "$adjson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$adjson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on the concurrent autotuned stream, expected 0" >&2; exit 1; }
 done
-tuned=$(echo "$adjson" | sed 's/.*"tuned_requests":\([0-9]*\).*/\1/')
+tuned=$(json_field "$adjson" tuned_requests)
 awk -v t="$tuned" 'BEGIN { exit (t > 0) ? 0 : 1 }' \
   || { echo "ci: no request was ever served from a tuned schedule" >&2; exit 1; }
 
@@ -391,17 +402,17 @@ dune exec bin/cora_cli.exe -- bench-stream --workload decode --exec \
 dsjson=$(sed -n 's/^BENCH_STREAM //p' "$tmpdir/stream_decode.txt")
 test -n "$dsjson" || { echo "ci: no BENCH_STREAM line (decode)" >&2; exit 1; }
 for field in rejected deadline_exceeded errors; do
-  n=$(echo "$dsjson" | sed "s/.*\"$field\":\([0-9]*\).*/\1/")
+  n=$(json_field "$dsjson" "$field")
   awk -v n="$n" 'BEGIN { exit (n == 0) ? 0 : 1 }' \
     || { echo "ci: $field=$n on the decode stream, expected 0" >&2; exit 1; }
 done
 dcjson=$(sed -n 's/^BENCH_DECODE //p' "$tmpdir/stream_decode.txt")
 test -n "$dcjson" || { echo "ci: no BENCH_DECODE line" >&2; exit 1; }
-dup=$(echo "$dcjson" | sed 's/.*"tables_delta_updated":\([0-9]*\).*/\1/')
+dup=$(json_field "$dcjson" tables_delta_updated)
 awk -v n="$dup" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
   || { echo "ci: tables_delta_updated=$dup, the delta path never fired" >&2; exit 1; }
-dm=$(echo "$dcjson" | sed 's/.*"prelude_delta_model_ns":\([0-9.eE+-]*\).*/\1/')
-rm_=$(echo "$dcjson" | sed 's/.*"prelude_rebuild_model_ns":\([0-9.eE+-]*\).*/\1/')
+dm=$(json_field "$dcjson" prelude_delta_model_ns)
+rm_=$(json_field "$dcjson" prelude_rebuild_model_ns)
 awk -v d="$dm" -v r="$rm_" 'BEGIN { exit (d > 0 && d <= 0.5 * r) ? 0 : 1 }' \
   || { echo "ci: delta prelude $dm ns not <= half of rebuild $rm_ ns" >&2; exit 1; }
 

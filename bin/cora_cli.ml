@@ -152,11 +152,14 @@ let stats_cmd =
 
 let trace_workloads = [ "quickstart"; "fig1"; "encoder"; "trmm"; "vgemm" ]
 
-(* Each workload compiles (lowers) its kernels, executes them through the
-   interpreter and times them through the machine model, all inside the
-   enabled tracing window, so the trace covers lowering passes, prelude
-   build, kernel execution and the launch pipeline. *)
-let run_traced_workload ~device ~multicore ~domains workload =
+(* Each workload compiles (lowers) its kernels, executes them and times
+   them through the machine model, all inside the enabled tracing window,
+   so the trace covers lowering passes, prelude build, kernel execution
+   and the launch pipeline.  Execution is on the interpreter, or with
+   [domains > 1] on the compiled engine's domain pool (quickstart, fig1
+   and encoder; trmm and vgemm always interpret). *)
+let run_traced_workload ~device ~domains workload =
+  let engine = if domains > 1 then `Compiled else `Interp in
   match workload with
   | "quickstart" | "fig1" ->
       (* The Fig. 1 operator, exactly as examples/quickstart.ml builds it. *)
@@ -181,7 +184,7 @@ let run_traced_workload ~device ~multicore ~domains workload =
       Cora.Ragged.fill ra (fun idx ->
           float_of_int ((10 * List.nth idx 0) + List.nth idx 1));
       let _ =
-        Cora.Exec.run_ragged ~multicore ~domains ~lenv ~tensors:[ ra; ro ] [ kernel ]
+        Cora.Exec.run_ragged ~engine ~domains ~lenv ~tensors:[ ra; ro ] [ kernel ]
       in
       ignore (Machine.Launch.pipeline ~device ~lenv [ Machine.Launch.single kernel ])
   | "encoder" ->
@@ -228,7 +231,7 @@ let run_traced_workload ~device ~multicore ~domains workload =
           sin (float_of_int ((List.nth idx 0 * 131) + (List.nth idx 1 * 17) + List.nth idx 2))
           *. 0.5);
       let _ =
-        Cora.Exec.run_ragged ~multicore ~domains ~lenv ~tensors:(weights @ data)
+        Cora.Exec.run_ragged ~engine ~domains ~lenv ~tensors:(weights @ data)
           (Transformer.Builder.kernels built)
       in
       ignore
@@ -322,16 +325,18 @@ let trace_cmd =
   let device_arg =
     Arg.(value & opt string "gpu" & info [ "device" ] ~doc:"Device: gpu, intel or arm.")
   in
-  let multicore_flag =
-    Arg.(value & flag & info [ "multicore" ] ~doc:"Execute Parallel loops across domains.")
-  in
   let domains_arg =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"Domain count for --multicore.")
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ]
+          ~doc:
+            "Above 1, execute on the compiled engine with Parallel loops spread across \
+             this many domains (the interpreter runs serially).")
   in
   let tree_flag =
     Arg.(value & flag & info [ "tree" ] ~doc:"Also print the span tree to stderr.")
   in
-  let run workload out metrics_out device multicore domains tree =
+  let run workload out metrics_out device domains tree =
     let dev =
       match device with
       | "gpu" -> Machine.Device.v100
@@ -347,10 +352,10 @@ let trace_cmd =
         [
           ("workload", Obs.Trace_sink.Str workload);
           ("device", Obs.Trace_sink.Str dev.Machine.Device.name);
-          ("multicore", Obs.Trace_sink.Bool multicore);
+          ("domains", Obs.Trace_sink.Int domains);
         ]
       "trace"
-      (fun () -> run_traced_workload ~device:dev ~multicore ~domains workload);
+      (fun () -> run_traced_workload ~device:dev ~domains workload);
     Obs.Span.set_enabled false;
     Obs.Report.write_file out (Obs.Trace_sink.to_chrome_string ());
     let n_events = validate_trace out in
@@ -371,8 +376,8 @@ let trace_cmd =
          "Compile and run a workload with tracing enabled; write a Chrome trace-event \
           file (validated by re-parsing) and print the metrics registry.")
     Term.(
-      const run $ workload_arg $ out_arg $ metrics_arg $ device_arg $ multicore_flag
-      $ domains_arg $ tree_flag)
+      const run $ workload_arg $ out_arg $ metrics_arg $ device_arg $ domains_arg
+      $ tree_flag)
 
 (* ------------------------------------------------------------------ *)
 (* bench-stream: replay a request stream through the serving layer.    *)
@@ -865,22 +870,23 @@ let bench_stream_cmd =
         0.0 responses
     in
     (* Scalar work actually executed (loads + stores + flops across all
-       requests) and its wall-clock rate — the engine A/B number: model
-       latencies are engine-independent, this is not. *)
-    let scalar_ops =
-      List.fold_left
-        (fun acc r ->
-          match r.Serving.Server.counters with
-          | None -> acc
-          | Some cs ->
-              List.fold_left
-                (fun acc (name, v) ->
-                  match name with "loads" | "stores" | "flops" -> acc + v | _ -> acc)
-                acc cs)
-        0 responses
-    in
-    let scalar_ops_per_sec =
-      if wall_ns > 0.0 then float_of_int scalar_ops /. (wall_ns /. 1e9) else 0.0
+       requests) and its wall-clock rate.  Only the interpreter counts
+       work, so the fields appear only when responses carry counters. *)
+    let scalar_fields =
+      match List.filter_map (fun r -> r.Serving.Server.counters) responses with
+      | [] -> []
+      | counted ->
+          let ops =
+            List.fold_left
+              (List.fold_left (fun acc (name, v) ->
+                   match name with "loads" | "stores" | "flops" -> acc + v | _ -> acc))
+              0 counted
+          in
+          [
+            ("scalar_ops", Obs.Json.Int ops);
+            ( "scalar_ops_per_sec",
+              Obs.Json.Float (if wall_ns > 0.0 then float_of_int ops /. (wall_ns /. 1e9) else 0.0) );
+          ]
     in
     (* batch-former accounting, from its own counters: how many
        mega-batches formed, and how much the tile-aligned ragged packing
@@ -957,7 +963,7 @@ let bench_stream_cmd =
     in
     let json =
       Obs.Json.Obj
-        [
+        ([
           ("workload", Obs.Json.String workload);
           ("engine", Obs.Json.String (match engine with `Interp -> "interp" | `Compiled -> "compiled"));
           ("opt", Obs.Json.Int (Ir.Optimize.int_of_level opt));
@@ -1012,8 +1018,9 @@ let bench_stream_cmd =
           ("autotune_steady_hand_rps", Obs.Json.Float steady_hand_rps);
           ("autotune_steady_tuned_rps", Obs.Json.Float steady_tuned_rps);
           ("wall_ns", Obs.Json.Float wall_ns);
-          ("scalar_ops", Obs.Json.Int scalar_ops);
-          ("scalar_ops_per_sec", Obs.Json.Float scalar_ops_per_sec);
+        ]
+        @ scalar_fields
+        @ [
           ("stream_checksum", Obs.Json.String (Printf.sprintf "%016Lx" stream_checksum));
           ("arena_hits", Obs.Json.Int (Obs.Metrics.value (Obs.Metrics.counter "arena.hit")));
           ("arena_misses", Obs.Json.Int (arena_miss_now ()));
@@ -1022,7 +1029,7 @@ let bench_stream_cmd =
           ( "window_queue_depth",
             Obs.Json.List (List.map (fun v -> Obs.Json.Int v) window_queue_depth) );
           ("trace_dropped", Obs.Json.Int (Obs.Trace_sink.dropped ()));
-        ]
+        ])
     in
     Printf.printf "BENCH_STREAM %s\n" (Obs.Json.to_string json);
     (* decode: per-step accounting plus the delta-vs-rebuild prelude pair *)

@@ -54,7 +54,8 @@ let () =
   Ragged.fill ra (fun idx -> float_of_int ((10 * List.nth idx 0) + List.nth idx 1));
   let env, prelude = Exec.run_ragged ~lenv ~tensors:[ ra; ro ] [ kernel ] in
   Printf.printf "\n---- results (%d flops executed, %d aux bytes built by the prelude) ----\n"
-    env.Runtime.Interp.flops (Prelude.bytes prelude);
+    (* the default engine, the interpreter, always returns its counters *)
+    (Option.get env).Runtime.Interp.flops (Prelude.bytes prelude);
   Array.iteri
     (fun b n ->
       Printf.printf "O[%d] = [" b;

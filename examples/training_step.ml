@@ -33,8 +33,8 @@ let () =
       let b = List.nth idx 0 in
       Ragged.set rprobs idx (1.0 /. float_of_int lens.(b)));
   let env, prelude = Exec.run_ragged ~lenv ~tensors bwd.Backward.kernels in
-  Printf.printf "executed %d flops; prelude built %d aux bytes\n" env.Runtime.Interp.flops
-    (Prelude.bytes prelude);
+  Printf.printf "executed %d flops; prelude built %d aux bytes\n"
+    (Option.get env).Runtime.Interp.flops (Prelude.bytes prelude);
   let rdq = List.nth tensors 5 in
   Printf.printf "dQ[0][0][0][0..3] = %s\n"
     (String.concat " "

@@ -10,16 +10,17 @@
     - [`Compiled] — the closure-compiling engine ({!Runtime.Engine}):
       kernels are compiled once per structural signature (a {!Sig}-keyed
       memo, like the lowering memo) and re-bound to fresh buffers and
-      prelude tables per request.  [Parallel]-bound loops run on one
-      persistent domain pool spawned per [run].
+      prelude tables per request.  With [~domains] > 1, [Parallel]-bound
+      loops run on one persistent domain pool spawned per [run].
 
-    Both engines maintain identical statistics counters, so the returned
-    {!Runtime.Interp.env} reports the same counts either way.
+    Both engines produce bitwise-identical outputs.  Only the interpreter
+    counts scalar work: an interpreted run returns its
+    {!Runtime.Interp.env} (and flushes it into the [interp.*] metrics), a
+    compiled run returns no counters.
 
     The whole pipeline is traced: one [exec.run] span wrapping the prelude
     build and one [exec.kernel] span per kernel (with [engine.compile] /
-    [engine.run] sub-spans on the compiled path), and the counters are
-    flushed into the {!Obs.Metrics} registry ([interp.*] or [engine.*]). *)
+    [engine.run] sub-spans on the compiled path). *)
 
 type binding = Tensor.t * Runtime.Buffer.t
 type engine = [ `Interp | `Compiled ]
@@ -106,9 +107,11 @@ let bind_frame ~(lenv : Lenfun.env) ~(built : Prelude.built) ~(bindings : bindin
       | Prelude.Table a -> Runtime.Engine.bind_ufun_table fr name a)
     built.Prelude.tables
 
-let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domains = 4)
-    ?prelude ~(lenv : Lenfun.env) ~(bindings : binding list) (kernels : Lower.kernel list) :
-    Runtime.Interp.env * Prelude.built =
+let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(domains = 1) ?prelude
+    ~(lenv : Lenfun.env) ~(bindings : binding list) (kernels : Lower.kernel list) :
+    Runtime.Interp.env option * Prelude.built =
+  if domains > 1 && engine = `Interp then
+    invalid_arg "Exec.run: ~domains > 1 needs the compiled engine";
   Obs.Span.with_span
     ~attrs:
       [
@@ -118,7 +121,6 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
       ]
     "exec.run"
   @@ fun () ->
-  let env = Runtime.Interp.create () in
   let built =
     match prelude with
     | Some built -> built
@@ -126,8 +128,9 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
         let defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) kernels in
         Prelude.build ~dedup_defs:true defs lenv
   in
-  (match engine with
+  match engine with
   | `Interp ->
+      let env = Runtime.Interp.create () in
       List.iter (fun (t, b) -> Runtime.Interp.bind_buf env t.Tensor.buf b) bindings;
       Prelude.bind_lenfuns lenv env;
       Prelude.bind_all built env;
@@ -136,17 +139,15 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
           Obs.Span.with_span
             ~attrs:[ ("kernel", Obs.Trace_sink.Str k.Lower.kname) ]
             "exec.kernel"
-            (fun () ->
-              if multicore then Runtime.Interp.exec_multicore ~domains env k.Lower.body
-              else Runtime.Interp.exec env k.Lower.body))
+            (fun () -> Runtime.Interp.exec env k.Lower.body))
         kernels;
-      Runtime.Interp.flush_metrics env
+      Runtime.Interp.flush_metrics env;
+      (Some env, built)
   | `Compiled ->
       (* one persistent pool per run; every Parallel loop of every kernel
          reuses its domains instead of spawning fresh ones *)
       let pool =
-        if multicore && domains > 1 then Some (Runtime.Engine.Pool.create ~domains ())
-        else None
+        if domains > 1 then Some (Runtime.Engine.Pool.create ~domains ()) else None
       in
       Fun.protect ~finally:(fun () -> Option.iter Runtime.Engine.Pool.shutdown pool)
       @@ fun () ->
@@ -159,27 +160,13 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(multicore = false) ?(domai
           let c = compile_cached ~opt k in
           let fr = Runtime.Engine.frame c in
           bind_frame ~lenv ~built ~bindings fr;
-          Obs.Span.with_span "engine.run" (fun () -> Runtime.Engine.run ?pool fr);
-          Runtime.Engine.flush_metrics fr;
-          (* fold into the interpreter env so callers read one counter set *)
-          List.iter
-            (fun (name, v) ->
-              match name with
-              | "loads" -> env.Runtime.Interp.loads <- env.Runtime.Interp.loads + v
-              | "stores" -> env.Runtime.Interp.stores <- env.Runtime.Interp.stores + v
-              | "flops" -> env.Runtime.Interp.flops <- env.Runtime.Interp.flops + v
-              | "indirect" -> env.Runtime.Interp.indirect <- env.Runtime.Interp.indirect + v
-              | "guards" -> env.Runtime.Interp.guards <- env.Runtime.Interp.guards + v
-              | "guard_hits" ->
-                  env.Runtime.Interp.guard_hits <- env.Runtime.Interp.guard_hits + v
-              | _ -> ())
-            (Runtime.Engine.stats fr))
-        kernels);
-  (env, built)
+          Obs.Span.with_span "engine.run" (fun () -> Runtime.Engine.run ?pool fr))
+        kernels;
+      (None, built)
 
 (** Convenience wrapper for ragged tensor values. *)
-let run_ragged ?engine ?opt ?multicore ?domains ?prelude ~(lenv : Lenfun.env)
+let run_ragged ?engine ?opt ?domains ?prelude ~(lenv : Lenfun.env)
     ~(tensors : Ragged.t list) kernels =
-  run ?engine ?opt ?multicore ?domains ?prelude ~lenv
+  run ?engine ?opt ?domains ?prelude ~lenv
     ~bindings:(List.map (fun (r : Ragged.t) -> (r.Ragged.tensor, r.Ragged.buf)) tensors)
     kernels

@@ -5,39 +5,40 @@
     {!Machine.Launch}.
 
     Traced as one [exec.run] span (prelude build inside) plus one
-    [exec.kernel] span per kernel; statistics counters are flushed into
-    the {!Obs.Metrics} registry under [interp.*] or [engine.*]. *)
+    [exec.kernel] span per kernel; an interpreted run's statistics
+    counters are flushed into the {!Obs.Metrics} registry under
+    [interp.*]. *)
 
 type binding = Tensor.t * Runtime.Buffer.t
 
 (** [`Interp] walks the tree through {!Runtime.Interp} (ground truth);
     [`Compiled] stages each kernel into slot-resolved closures through
-    {!Runtime.Engine} — same results, same counters, interpretive overhead
-    gone.  Compiled kernels are memoized per structural signature. *)
+    {!Runtime.Engine} — bitwise-identical results, interpretive overhead
+    gone, no scalar-work counters.  Compiled kernels are memoized per
+    structural signature. *)
 type engine = [ `Interp | `Compiled ]
 
-(** Returns the interpreter environment (for statistics — identical
-    counter semantics under both engines) and the prelude used (for
-    overhead accounting).  [~multicore:true] executes [Parallel]-bound
-    loops across [domains] OCaml domains: per-loop [Domain.spawn] under
-    [`Interp], one persistent domain pool per call under [`Compiled]; the
-    statistics are aggregated either way.  [?prelude] supplies
-    already-built aux structures (e.g. from {!Prelude_cache}), skipping
-    the build.  [?opt] (default [O0], compiled engine only) selects the
-    {!Ir.Optimize} level — outputs stay bitwise-identical at every level;
-    counter parity with the interpreter holds at [O0] only (see
-    {!Runtime.Engine}). *)
+(** Returns the interpreter environment — [Some] under [`Interp], whose
+    statistics counters it carries; [None] under [`Compiled], which
+    counts nothing — and the prelude used (for overhead accounting).
+    [?domains] (default 1) above 1 executes [Parallel]-bound loops on
+    one persistent {!Runtime.Engine.Pool} of that many domains; it
+    requires [`Compiled] ([Invalid_argument] under [`Interp], the serial
+    oracle).  [?prelude] supplies already-built aux structures (e.g. from
+    {!Prelude_cache}), skipping the build.  [?opt] (default [O0],
+    compiled engine only) selects the {!Ir.Optimize} level — outputs stay
+    bitwise-identical at every level. *)
 val run :
-  ?engine:engine -> ?opt:Ir.Optimize.level -> ?multicore:bool -> ?domains:int ->
+  ?engine:engine -> ?opt:Ir.Optimize.level -> ?domains:int ->
   ?prelude:Prelude.built ->
   lenv:Lenfun.env -> bindings:binding list -> Lower.kernel list ->
-  Runtime.Interp.env * Prelude.built
+  Runtime.Interp.env option * Prelude.built
 
 val run_ragged :
-  ?engine:engine -> ?opt:Ir.Optimize.level -> ?multicore:bool -> ?domains:int ->
+  ?engine:engine -> ?opt:Ir.Optimize.level -> ?domains:int ->
   ?prelude:Prelude.built ->
   lenv:Lenfun.env -> tensors:Ragged.t list -> Lower.kernel list ->
-  Runtime.Interp.env * Prelude.built
+  Runtime.Interp.env option * Prelude.built
 
 (** Per-request compiled-kernel-memo accounting.  [with_engine_stats f]
     runs [f] with a fresh tally scoped to the calling domain (like

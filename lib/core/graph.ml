@@ -130,7 +130,7 @@ let planned_bytes (p : plan) = Array.fold_left ( + ) 0 p.slot_bytes
     slot alias one buffer.  External tensors keep their own buffers (from
     [bindings]). *)
 let execute (g : t) (p : plan) ~(lenv : Lenfun.env)
-    ~(bindings : (Tensor.t * Runtime.Buffer.t) list) : Runtime.Interp.env * Prelude.built =
+    ~(bindings : (Tensor.t * Runtime.Buffer.t) list) : Runtime.Interp.env option * Prelude.built =
   let slot_bufs = Array.map (fun bytes -> Runtime.Buffer.float_buf ((bytes + 3) / 4)) p.slot_bytes in
   let all_bindings =
     bindings

@@ -41,4 +41,4 @@ val planned_bytes : plan -> int
     external tensors' buffers. *)
 val execute :
   t -> plan -> lenv:Lenfun.env -> bindings:(Tensor.t * Runtime.Buffer.t) list ->
-  Runtime.Interp.env * Prelude.built
+  Runtime.Interp.env option * Prelude.built

@@ -10,8 +10,6 @@ let level_name = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
 
 type report = { hoisted : int }
 
-let hoist_var_name = "hv"
-
 (* ------------------------------------------------------------------ *)
 (* Purity / typing.  An expression is hoistable only when evaluating it
    early can neither fault nor perturb the float stream: pure integer
@@ -134,7 +132,7 @@ let licm (stmt : Stmt.t) : Stmt.t * report =
               (* earlier (larger) substitutions may have consumed every
                  occurrence of a smaller candidate *)
               if occurs_stmt e body then
-                let hv = Var.fresh hoist_var_name in
+                let hv = Var.fresh "hv" in
                 (replace_stmt e hv body, (hv, e) :: binds)
               else (body, binds))
             (r.body, []) cands
@@ -172,8 +170,7 @@ let licm (stmt : Stmt.t) : Stmt.t * report =
    eliminating them is what exposes an affine stride to
    [classify_stride] / [classify_nest], so it runs as the first [O3]
    pass.  Dropping the pair evaluates [e] once where the original
-   evaluated it twice — same fault behaviour (it is still evaluated),
-   counter divergence covered by the documented O1+ rule. *)
+   evaluated it twice — same fault behaviour (it is still evaluated). *)
 let divmod_elim (stmt : Stmt.t) : Stmt.t * report =
   let eliminated = ref 0 in
   let rec terms (e : Expr.t) =

@@ -26,10 +26,9 @@
     only {e pure integer} expressions (no loads, no float ops, no
     division by a possibly-zero expression), so the optimized program is
     bitwise-identical to the unoptimized one on well-formed kernels.
-    What {e does} change is the statistics profile: hoisted [Ufun] reads
-    bump [loads]/[indirect] once per preheader entry instead of once per
-    iteration.  That difference is deliberate, documented, and measured
-    by the engine's [hoisted] counter.
+    Hoisted [Ufun] reads run once per preheader entry instead of once
+    per iteration — the work saving; the static count of bindings
+    created is the [optimize.hoisted] metric.
 
     Speculation caveat: a hoisted binding is evaluated even when every
     loop below it runs zero iterations (or every guard below it is
@@ -41,7 +40,7 @@
 
 (** Optimization level, threaded from [Exec]/[Serving]/the CLI down to
     {!Runtime.Engine.compile}:
-    [O0] — none (bit- and counter-exact interpreter parity);
+    [O0] — none;
     [O1] — LICM + strength-reduced innermost store loops;
     [O2] — [O1] + fused microkernels;
     [O3] — [O2] + stride-specialized, register-tiled microkernel variants
@@ -58,10 +57,6 @@ val level_name : level -> string
 
 (** Per-run report of what the pipeline did. *)
 type report = { hoisted : int  (** [Let_stmt] preheader bindings created *) }
-
-(** Display name given to every hoisted binding's variable — the engine
-    recognizes it to maintain its [hoisted] runtime counter. *)
-val hoist_var_name : string
 
 val licm : Stmt.t -> Stmt.t * report
 (** Loop-invariant code motion (pass [optimize.licm], traced as a span;

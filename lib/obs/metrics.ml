@@ -5,7 +5,7 @@
     increment touches only the cell indexed by the calling domain's id
     (modulo the shard count), never a lock, and allocates nothing.
     Reading a counter sums the shards.  This makes the registry safe
-    under [Interp.exec_multicore] without serialising the domains.
+    under concurrent serving and pool domains without serialising them.
 
     Histograms are bounded log-linear bucket arrays (HDR-histogram
     style): each power-of-two octave is split into [sub] linear

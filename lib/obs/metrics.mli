@@ -1,7 +1,7 @@
 (** Process-wide metrics registry: counters, gauges and histograms.
 
     Counters are sharded into per-domain atomic cells, so incrementing
-    one from inside [Interp.exec_multicore] is lock-free and
+    one from concurrent serving or pool domains is lock-free and
     allocation-free; reads sum the shards.
 
     Histograms are bounded log-linear bucket arrays (HDR-histogram

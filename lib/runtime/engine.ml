@@ -2,10 +2,11 @@ open Ir
 
 (* Compiled execution engine.  See engine.mli for the contract; the key
    invariant maintained throughout this file is *interpreter parity*: for
-   every IR node the compiled closure performs the same stores, the same
-   bounds checks and the same counter bumps, in the same order, as the
+   every IR node the compiled closure performs the same float operations
+   and stores, in the same order, with the same bounds checks, as the
    corresponding branch of Interp.eval / Interp.exec — that is what makes
-   the differential fuzz in test/test_engine.ml meaningful. *)
+   the bitwise differential fuzz in test/test_engine.ml meaningful.
+   Scalar work (loads, flops, guards) is counted only by the interpreter. *)
 
 exception Error of string
 
@@ -165,14 +166,6 @@ type frame = {
   buf_bound : bool array;
   ufuns : ufun_binding array;
   mutable pool : Pool.t option;
-  mutable loads : int;
-  mutable stores : int;
-  mutable flops : int;
-  mutable indirect : int;
-  mutable guards : int;
-  mutable guard_hits : int;
-  mutable hoisted : int;  (** evaluations of LICM-hoisted preheader bindings *)
-  mutable microkernel_elems : int;  (** elements processed by fused microkernels *)
 }
 
 type compiled = { c_layout : layout; c_entry : frame -> unit }
@@ -361,7 +354,6 @@ let compile_binop (op : Expr.binop) ca cb : cexpr =
           (fun fr ->
             let x = fa fr in
             let y = fb fr in
-            fr.flops <- fr.flops + 1;
             f x y)
       in
       (match op with
@@ -434,7 +426,6 @@ let rec compile_expr ctx (e : Expr.t) : cexpr =
       let fi = as_int (compile_expr ctx index) in
       CFloat
         (fun fr ->
-          fr.loads <- fr.loads + 1;
           let a = Array.unsafe_get fr.fbufs slot in
           let i = fi fr in
           if i < 0 || i >= Array.length a then
@@ -474,12 +465,10 @@ and compile_ufun ctx name args : cexpr =
   let slot = ufun_slot ctx name in
   match args with
   | [ a ] ->
-      (* the hot path: one counter bump, one arg, direct table indexing *)
+      (* the hot path: one arg, direct table indexing *)
       let fi = as_int (compile_expr ctx a) in
       CInt
         (fun fr ->
-          fr.loads <- fr.loads + 1;
-          fr.indirect <- fr.indirect + 1;
           let i = fi fr in
           match Array.unsafe_get fr.ufuns slot with
           | U_table t ->
@@ -493,8 +482,6 @@ and compile_ufun ctx name args : cexpr =
   | [] ->
       CInt
         (fun fr ->
-          fr.loads <- fr.loads + 1;
-          fr.indirect <- fr.indirect + 1;
           match Array.unsafe_get fr.ufuns slot with
           | U_const n -> n
           | U_gen f -> f []
@@ -505,8 +492,6 @@ and compile_ufun ctx name args : cexpr =
       let nargs = List.length args in
       CInt
         (fun fr ->
-          fr.loads <- fr.loads + 1;
-          fr.indirect <- fr.indirect + 1;
           let l = List.map (fun f -> f fr) fis in
           match Array.unsafe_get fr.ufuns slot with
           | U_gen f -> f l
@@ -515,15 +500,11 @@ and compile_ufun ctx name args : cexpr =
           | U_unbound -> err "unbound uninterpreted function %s" name)
 
 and compile_call ctx name args : cexpr =
-  (* intrinsics resolve at compile time; flops+4 per call, like the interp *)
+  (* intrinsics resolve at compile time *)
   let cargs = List.map (fun a -> as_float (compile_expr ctx a)) args in
   let unary f =
     match cargs with
-    | [ fa ] ->
-        CFloat
-          (fun fr ->
-            fr.flops <- fr.flops + 4;
-            f (fa fr))
+    | [ fa ] -> CFloat (fun fr -> f (fa fr))
     | _ -> err "unknown intrinsic %s/%d" name (List.length cargs)
   in
   match name with
@@ -535,11 +516,7 @@ and compile_call ctx name args : cexpr =
   | "relu" -> unary (Float.max 0.0)
   | "neg_infinity" -> (
       match cargs with
-      | [] ->
-          CFloat
-            (fun fr ->
-              fr.flops <- fr.flops + 4;
-              neg_infinity)
+      | [] -> CFloat (fun _ -> neg_infinity)
       | _ -> err "unknown intrinsic %s/%d" name (List.length cargs))
   | _ -> err "unknown intrinsic %s/%d" name (List.length cargs)
 
@@ -574,22 +551,17 @@ let balance_chunks (ws : int array) k : int array =
   done;
   bounds
 
-(* Parallel chunk execution.  Mirrors Interp.exec_multicore: scalar state is
-   copied per chunk (loop writes to disjoint buffer locations, per the
-   Parallel-binding contract), the buffer slot table is shallow-copied so
-   Alloc scratch stays chunk-local, and per-chunk counters fold into the
-   parent through atomics — totals are exactly those of a serial run.
+(* Parallel chunk execution: scalar state is copied per chunk (loop
+   iterations write disjoint buffer locations, per the Parallel-binding
+   contract) and the buffer slot table is shallow-copied so Alloc scratch
+   stays chunk-local.
 
    Chunks are sized by [est] (a per-iteration cost estimate compiled from
    the loop body) when available, so a handful of long ragged rows no
    longer starves the other domains; without an estimate the split is by
-   iteration count, as before.  The estimate runs on a scratch view of the
-   frame whose counters are discarded — chunking must never perturb the
-   statistics. *)
+   iteration count.  The estimate writes only its own scalar slots and
+   the loop variable's, which every chunk overwrites before use. *)
 let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
-  let loads = Atomic.make 0 and stores = Atomic.make 0 and flops = Atomic.make 0 in
-  let indirect = Atomic.make 0 and guards = Atomic.make 0 and guard_hits = Atomic.make 0 in
-  let hoisted = Atomic.make 0 and mk_elems = Atomic.make 0 in
   let chunks = min n (Pool.parallelism pool * 4) in
   let bounds =
     match est with
@@ -597,11 +569,10 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
         let csize = (n + chunks - 1) / chunks in
         Array.init (chunks + 1) (fun c -> min n (c * csize))
     | Some est ->
-        let sfr = { fr with loads = 0 } in
         let ws =
           Array.init n (fun j ->
-              Array.unsafe_set sfr.ints slot (m + j);
-              try max 1 (est sfr) with _ -> 1)
+              Array.unsafe_set fr.ints slot (m + j);
+              try max 1 (est fr) with _ -> 1)
         in
         balance_chunks ws chunks
   in
@@ -619,38 +590,14 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
             floats = Array.copy tf;
             bools = Array.copy tb;
             fbufs = Array.copy fr.fbufs;
-            pool = None (* no nested parallelism, like exec_multicore *);
-            loads = 0;
-            stores = 0;
-            flops = 0;
-            indirect = 0;
-            guards = 0;
-            guard_hits = 0;
-            hoisted = 0;
-            microkernel_elems = 0;
+            pool = None (* no nested parallelism *);
           }
         in
         for i = lo to hi do
           Array.unsafe_set w.ints slot i;
           cbody w
-        done;
-        ignore (Atomic.fetch_and_add loads w.loads);
-        ignore (Atomic.fetch_and_add stores w.stores);
-        ignore (Atomic.fetch_and_add flops w.flops);
-        ignore (Atomic.fetch_and_add indirect w.indirect);
-        ignore (Atomic.fetch_and_add guards w.guards);
-        ignore (Atomic.fetch_and_add guard_hits w.guard_hits);
-        ignore (Atomic.fetch_and_add hoisted w.hoisted);
-        ignore (Atomic.fetch_and_add mk_elems w.microkernel_elems)
-      end);
-  fr.loads <- fr.loads + Atomic.get loads;
-  fr.stores <- fr.stores + Atomic.get stores;
-  fr.flops <- fr.flops + Atomic.get flops;
-  fr.indirect <- fr.indirect + Atomic.get indirect;
-  fr.guards <- fr.guards + Atomic.get guards;
-  fr.guard_hits <- fr.guard_hits + Atomic.get guard_hits;
-  fr.hoisted <- fr.hoisted + Atomic.get hoisted;
-  fr.microkernel_elems <- fr.microkernel_elems + Atomic.get mk_elems
+        done
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Microkernels (opt >= 2).  An innermost loop whose body matches one of
@@ -664,9 +611,7 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
    dispatch), and element-wise loops process elements in the same order.
    Bounds checks are hoisted to block entry, once per (m, n) block and
    before variant dispatch: a linear index sequence is in bounds iff its
-   two endpoints are (divergence only on error paths).  Counters are
-   bulk-added with the same totals; [microkernel_elems] records how many
-   elements took this path.
+   two endpoints are (divergence only on error paths).
 
    At opt >= 3 the loop body is selected from the Microkernel registry
    when the closure is built — Optimize.classify_stride decides between
@@ -707,13 +652,21 @@ let compile_affine ctx (ax : Optimize.affine) =
 let note_variant name =
   Obs.Metrics.incr (Obs.Metrics.counter ("engine.mk_variant." ^ name))
 
+(* The one runtime signal: [engine.mk_fallback] counts microkernel blocks
+   that took the generic loop instead (aliased destination, zero
+   destination stride, zero-trip reduction). *)
+let mk_fallback_c = Obs.Metrics.counter "engine.mk_fallback"
+
+let fall_back fallback fr m n =
+  Obs.Metrics.incr mk_fallback_c;
+  fallback fr m n
+
 (* [emit_inner ctx pattern] returns [fallback -> frame -> m -> n -> unit];
    the fallback (the generic compiled loop) runs when the destination
    aliases an input, where register accumulation would diverge.  Callers
    guarantee n > 0.  The per-block wrapper always does the same three
    things in order — aliasing dispatch, hoisted endpoint bounds checks,
-   then the variant body selected at closure-build time — followed by the
-   bulk counter update. *)
+   then the variant body selected at closure-build time. *)
 let emit_inner ctx (p : Optimize.inner) :
     (frame -> int -> int -> unit) -> frame -> int -> int -> unit =
   match p with
@@ -774,7 +727,7 @@ let emit_inner ctx (p : Optimize.inner) :
         let darr = Array.unsafe_get fr.fbufs dslot in
         let aarr = Array.unsafe_get fr.fbufs aslot in
         let barr = Array.unsafe_get fr.fbufs bslot in
-        if darr == aarr || darr == barr then fallback fr m n
+        if darr == aarr || darr == barr then fall_back fallback fr m n
         else begin
           let di = fdi fr in
           let astep = fas fr in
@@ -785,11 +738,7 @@ let emit_inner ctx (p : Optimize.inner) :
             err "reduce_store %s[%d] out of bounds (len %d)" dname di (Array.length darr);
           check_lin ~what:"load" ~name:aname aarr a0 (a0 + ((n - 1) * astep));
           check_lin ~what:"load" ~name:bname barr b0 (b0 + ((n - 1) * bstep));
-          body darr aarr barr di a0 astep b0 bstep n;
-          fr.loads <- fr.loads + (2 * n);
-          fr.flops <- fr.flops + (2 * n);
-          fr.stores <- fr.stores + n;
-          fr.microkernel_elems <- fr.microkernel_elems + n
+          body darr aarr barr di a0 astep b0 bstep n
         end
   | Optimize.Reduce1 { dst; dst_idx; op; src; src_ix } ->
       let dslot = buf_slot ctx dst and sslot = buf_slot ctx src in
@@ -844,7 +793,7 @@ let emit_inner ctx (p : Optimize.inner) :
       fun fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
         let sarr = Array.unsafe_get fr.fbufs sslot in
-        if darr == sarr then fallback fr m n
+        if darr == sarr then fall_back fallback fr m n
         else begin
           let di = fdi fr in
           let sstep = fss fr in
@@ -852,11 +801,7 @@ let emit_inner ctx (p : Optimize.inner) :
           if di < 0 || di >= Array.length darr then
             err "reduce_store %s[%d] out of bounds (len %d)" dname di (Array.length darr);
           check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((n - 1) * sstep));
-          body darr sarr di s0 sstep n;
-          fr.loads <- fr.loads + n;
-          fr.flops <- fr.flops + n;
-          fr.stores <- fr.stores + n;
-          fr.microkernel_elems <- fr.microkernel_elems + n
+          body darr sarr di s0 sstep n
         end
   | Optimize.Copy { dst; dst_ix; src; src_ix } ->
       let dslot = buf_slot ctx dst and sslot = buf_slot ctx src in
@@ -899,10 +844,7 @@ let emit_inner ctx (p : Optimize.inner) :
         let s0 = fsb fr + (m * sstep) in
         check_lin ~what:"store" ~name:dname darr d0 (d0 + ((n - 1) * dstep));
         check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((n - 1) * sstep));
-        body darr sarr d0 dstep s0 sstep n;
-        fr.loads <- fr.loads + n;
-        fr.stores <- fr.stores + n;
-        fr.microkernel_elems <- fr.microkernel_elems + n
+        body darr sarr d0 dstep s0 sstep n
   | Optimize.Scale { dst; dst_ix; src; src_ix; factor } ->
       let dslot = buf_slot ctx dst and sslot = buf_slot ctx src in
       let dname = Var.mangled dst and sname = Var.mangled src in
@@ -939,11 +881,7 @@ let emit_inner ctx (p : Optimize.inner) :
         let s0 = fsb fr + (m * sstep) in
         check_lin ~what:"store" ~name:dname darr d0 (d0 + ((n - 1) * dstep));
         check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((n - 1) * sstep));
-        body darr sarr d0 dstep s0 sstep n;
-        fr.loads <- fr.loads + n;
-        fr.flops <- fr.flops + n;
-        fr.stores <- fr.stores + n;
-        fr.microkernel_elems <- fr.microkernel_elems + n
+        body darr sarr d0 dstep s0 sstep n
 
 (* [emit_nest ctx ~slot nest] register-tiles a two-deep Sum-dot nest
    (opt >= 3): four destination elements per pass, the shared operand
@@ -951,13 +889,12 @@ let emit_inner ctx (p : Optimize.inner) :
    order-preserving accumulator chain (the chains are independent), so
    tiling cannot perturb float results.  [slot] is the tile variable's
    frame slot — the peeled raggedness guard, if any, is evaluated once
-   per tile-var value with the slot set, exactly like the generic [If]
-   (including its [guards]/[guard_hits] accounting); runs of consecutive
-   guard-true iterations tile in groups of four, guard-false iterations
-   are skipped.  A peeled init store becomes the accumulators' start
-   value (evaluated per tile-var value — a bias row, or the cell itself);
-   a peeled epilogue store reruns per tile-var value after its chain
-   completes (a scale, an activation).
+   per tile-var value with the slot set, exactly like the generic [If];
+   runs of consecutive guard-true iterations tile in groups of four,
+   guard-false iterations are skipped.  A peeled init store becomes the
+   accumulators' start value (evaluated per tile-var value — a bias row,
+   or the cell itself); a peeled epilogue store reruns per tile-var value
+   after its chain completes (a scale, an activation).
 
    Masked dots ([Select (mask, a*b, +0.)] reduction values) use the
    zero-add identity: [acc +. +0.] equals [acc] except that [-0. +. +0.]
@@ -999,9 +936,9 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
       let fvmask = Option.map (fun c -> as_bool (compile_expr ctx c)) vmask in
       let fkbound = Option.map (fun e -> as_int (compile_expr ctx e)) kbound in
       let finit = Option.map (fun e -> as_float (compile_expr ctx e)) init in
-      (* the epilogue compiles like the generic [Store] (same counters,
-         same bounds-check message); it is run with the tile var's slot
-         set, once per completed chain *)
+      (* the epilogue compiles like the generic [Store] (same bounds-check
+         message); it is run with the tile var's slot set, once per
+         completed chain *)
       let fepi =
         Option.map
           (fun s ->
@@ -1012,7 +949,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                 let fi = as_int (compile_expr ctx index) in
                 let fv = as_float (compile_expr ctx value) in
                 fun fr ->
-                  fr.stores <- fr.stores + 1;
                   let a = Array.unsafe_get fr.fbufs bslot in
                   let i = fi fr in
                   if i < 0 || i >= Array.length a then
@@ -1054,10 +990,10 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
             let sarr = Array.unsafe_get fr.fbufs sslot in
             let marr = Array.unsafe_get fr.fbufs mslot in
             let nk = fkn fr in
-            if nk <= 0 || darr == sarr || darr == marr then fallback fr m n
+            if nk <= 0 || darr == sarr || darr == marr then fall_back fallback fr m n
             else begin
               let dstep = fds fr in
-              if dstep = 0 then fallback fr m n
+              if dstep = 0 then fall_back fallback fr m n
               else begin
                 let mk = fkm fr in
                 (* absolute-index bases: cell j lives at db + j*dstep *)
@@ -1086,13 +1022,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                     (mlo + min 0 jspan + min 0 kspan)
                     (mlo + max 0 jspan + max 0 kspan)
                 in
-                let bulk cnt =
-                  let elems = cnt * nk in
-                  fr.loads <- fr.loads + (2 * elems);
-                  fr.flops <- fr.flops + (2 * elems);
-                  fr.stores <- fr.stores + elems + (if has_init then cnt else 0);
-                  fr.microkernel_elems <- fr.microkernel_elems + elems
-                in
                 let tile j =
                   span_check j 4;
                   let dj = db + (j * dstep) in
@@ -1111,8 +1040,7 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                   Array.unsafe_set darr dj acc.Microkernel.x0;
                   Array.unsafe_set darr (dj + dstep) acc.Microkernel.x1;
                   Array.unsafe_set darr (dj + (2 * dstep)) acc.Microkernel.x2;
-                  Array.unsafe_set darr (dj + (3 * dstep)) acc.Microkernel.x3;
-                  bulk 4
+                  Array.unsafe_set darr (dj + (3 * dstep)) acc.Microkernel.x3
                 in
                 let single j =
                   span_check j 1;
@@ -1127,8 +1055,7 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                       Microkernel.dot_sum_strided ~a:marr ~a0:mj ~astep:mks ~b:sarr
                         ~b0:s0 ~bstep:ss ~n:nk ~init:iv
                   in
-                  Array.unsafe_set darr dj v;
-                  bulk 1
+                  Array.unsafe_set darr dj v
                 in
                 let jend = m + n in
                 match fguard with
@@ -1144,15 +1071,10 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                     done
                 | Some fg ->
                     (* evaluate the guard exactly once per j, with the tile
-                       var's slot set — the generic If's accounting *)
+                       var's slot set, like the generic If *)
                     let test j =
                       Array.unsafe_set fr.ints slot j;
-                      fr.guards <- fr.guards + 1;
-                      if fg fr then begin
-                        fr.guard_hits <- fr.guard_hits + 1;
-                        true
-                      end
-                      else false
+                      fg fr
                     in
                     let j = ref m in
                     while !j < jend do
@@ -1183,10 +1105,10 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
         if
           nk <= 0 || darr == sarr || darr == marr
           || Array.exists (fun s -> Array.unsafe_get fr.fbufs s == darr) extra_slots
-        then fallback fr m n
+        then fall_back fallback fr m n
         else begin
           let dstep = fds fr in
-          if dstep = 0 then fallback fr m n
+          if dstep = 0 then fall_back fallback fr m n
           else begin
             let mk = fkm fr in
             (* absolute-index bases: cell j lives at db + j*dstep *)
@@ -1234,7 +1156,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                   (mlo + max 0 jspan + max 0 kspan)
               end
             in
-            let has_init = Option.is_some finit in
             (* accumulator start value for chain j; [slot] must already
                hold j (the init expression may read a bias row at j) *)
             let init_of dj =
@@ -1249,13 +1170,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                   Array.unsafe_set fr.ints slot j;
                   f fr
             in
-            let bulk cnt =
-              let elems = cnt * nk_eff in
-              fr.loads <- fr.loads + (2 * elems);
-              fr.flops <- fr.flops + (2 * elems) + (cnt * tail);
-              fr.stores <- fr.stores + (cnt * nk) + (if has_init then cnt else 0);
-              fr.microkernel_elems <- fr.microkernel_elems + elems
-            in
             (* chain whose mask is false for every k: init plus nk zero
                adds — no operand access, no operand checks *)
             let zero j =
@@ -1263,8 +1177,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
               check_lin ~what:"reduce_store" ~name:dname darr dj dj;
               Array.unsafe_set fr.ints slot j;
               Array.unsafe_set darr dj (fix_tail (init_of dj));
-              fr.flops <- fr.flops + nk;
-              fr.stores <- fr.stores + nk + (if has_init then 1 else 0);
               (* the generic nest runs the epilogue store even when the
                  mask was false for every k — so must we *)
               run_epi j
@@ -1286,7 +1198,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
               store_cell (dj + dstep) acc.Microkernel.x1;
               store_cell (dj + (2 * dstep)) acc.Microkernel.x2;
               store_cell (dj + (3 * dstep)) acc.Microkernel.x3;
-              bulk 4;
               run_epi j;
               run_epi (j + 1);
               run_epi (j + 2);
@@ -1307,7 +1218,6 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
                     ~bstep:ss ~n:nk_eff ~init:iv
               in
               store_cell dj v;
-              bulk 1;
               run_epi j
             in
             let jend = m + n in
@@ -1325,21 +1235,10 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
             | _ ->
                 (* three states per j — skip (guard false), zero-chain
                    (mask false), dot — each guard / mask evaluated exactly
-                   once, with the tile var's slot set; the guard keeps the
-                   generic If's accounting *)
+                   once, with the tile var's slot set *)
                 let st j =
                   Array.unsafe_set fr.ints slot j;
-                  let g =
-                    match fguard with
-                    | None -> true
-                    | Some fg ->
-                        fr.guards <- fr.guards + 1;
-                        if fg fr then begin
-                          fr.guard_hits <- fr.guard_hits + 1;
-                          true
-                        end
-                        else false
-                  in
+                  let g = match fguard with None -> true | Some fg -> fg fr in
                   if not g then 0
                   else
                     match fvmask with
@@ -1379,10 +1278,9 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
    expression costs from the analytic cost model, dynamic trip counts by
    evaluating loop bounds on the frame (inner loop variables pinned to
    their first iteration — the estimate guides chunking only, so an
-   approximation is fine).  Compiled with its own scalar slots; evaluated
-   on a scratch frame view, so it can neither clobber the kernel's state
-   nor perturb its counters.  Any compile- or eval-time failure falls back
-   to uniform weights. *)
+   approximation is fine).  Compiled with its own scalar slots, so it
+   cannot clobber the kernel's state.  Any compile- or eval-time failure
+   falls back to uniform weights. *)
 let rec est_stmt ctx (s : Stmt.t) : frame -> int =
   let ecost e = max 1 (int_of_float (Cost_model.total (Cost_model.expr_counts e))) in
   match s with
@@ -1430,11 +1328,11 @@ let rec est_stmt ctx (s : Stmt.t) : frame -> int =
 let compile_est ctx (s : Stmt.t) : (frame -> int) option =
   match est_stmt ctx s with e -> Some e | exception Error _ -> None
 
-(* [par_ok] tracks which Parallel loops Interp.exec_multicore would actually
-   parallelize: those reachable through For / Let_stmt / Seq only.  Bodies
-   of parallel loops, If branches and Alloc bodies execute serially there,
-   so they compile with par_ok = false here — keeping the engine's execution
-   structure (and hence its soundness obligations) identical. *)
+(* [par_ok] tracks which Parallel loops run on the pool: those reachable
+   through For / Let_stmt / Seq only.  Bodies of parallel loops, If
+   branches and Alloc bodies compile with par_ok = false and run serially,
+   so a pool never nests and the disjoint-writes obligation of a Parallel
+   binding is only ever relied on for top-level loop structure. *)
 let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
   match s with
   | For { var; min; extent; kind; body } -> (
@@ -1528,8 +1426,7 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
                           Array.unsafe_set fr.ints slot i;
                           Array.unsafe_set a !ix (fv fr);
                           ix := !ix + step
-                        done;
-                        fr.stores <- fr.stores + n
+                        done
                       end
                 | Some rop ->
                     let combine = combine_of rop in
@@ -1548,9 +1445,7 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
                           let x = fv fr in
                           Array.unsafe_set a !ix (combine (Array.unsafe_get a !ix) x);
                           ix := !ix + step
-                        done;
-                        fr.stores <- fr.stores + n;
-                        fr.flops <- fr.flops + n
+                        done
                       end)
             | None ->
                 fun fr ->
@@ -1560,16 +1455,9 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
   | Let_stmt (v, e, body) -> (
       let cv = compile_expr ctx e in
       let ty = match cv with CInt _ -> TInt | CFloat _ -> TFloat | CBool _ -> TBool in
-      let hoisted = String.equal (Var.name v) Optimize.hoist_var_name in
       with_var ctx v ty @@ fun slot ->
       let cbody = compile_stmt ctx ~par_ok body in
       match cv with
-      | CInt f when hoisted ->
-          (* LICM preheader binding: count each evaluation *)
-          fun fr ->
-            fr.hoisted <- fr.hoisted + 1;
-            Array.unsafe_set fr.ints slot (f fr);
-            cbody fr
       | CInt f ->
           fun fr ->
             Array.unsafe_set fr.ints slot (f fr);
@@ -1588,7 +1476,6 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
       let fi = as_int (compile_expr ctx index) in
       let fv = as_float (compile_expr ctx value) in
       fun fr ->
-        fr.stores <- fr.stores + 1;
         let a = Array.unsafe_get fr.fbufs slot in
         let i = fi fr in
         if i < 0 || i >= Array.length a then
@@ -1600,8 +1487,6 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
       let fi = as_int (compile_expr ctx index) in
       let fv = as_float (compile_expr ctx value) in
       let reduce combine fr =
-        fr.stores <- fr.stores + 1;
-        fr.flops <- fr.flops + 1;
         let a = Array.unsafe_get fr.fbufs slot in
         let i = fi fr in
         if i < 0 || i >= Array.length a then
@@ -1615,8 +1500,6 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
       match op with
       | Stmt.Sum ->
           fun fr ->
-            fr.stores <- fr.stores + 1;
-            fr.flops <- fr.flops + 1;
             let a = Array.unsafe_get fr.fbufs slot in
             let i = fi fr in
             if i < 0 || i >= Array.length a then
@@ -1631,21 +1514,8 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
       let fc = as_bool (compile_expr ctx c) in
       let ca = compile_stmt ctx ~par_ok:false a in
       match Option.map (compile_stmt ctx ~par_ok:false) b with
-      | None ->
-          fun fr ->
-            fr.guards <- fr.guards + 1;
-            if fc fr then begin
-              fr.guard_hits <- fr.guard_hits + 1;
-              ca fr
-            end
-      | Some cb ->
-          fun fr ->
-            fr.guards <- fr.guards + 1;
-            if fc fr then begin
-              fr.guard_hits <- fr.guard_hits + 1;
-              ca fr
-            end
-            else cb fr)
+      | None -> fun fr -> if fc fr then ca fr
+      | Some cb -> fun fr -> if fc fr then ca fr else cb fr)
   | Seq l -> (
       match List.map (compile_stmt ctx ~par_ok) l with
       | [] -> fun _ -> ()
@@ -1719,14 +1589,6 @@ let frame (c : compiled) : frame =
     buf_bound = Array.make (max 1 nbufs) false;
     ufuns = Array.make (max 1 (Array.length l.ufun_names)) U_unbound;
     pool = None;
-    loads = 0;
-    stores = 0;
-    flops = 0;
-    indirect = 0;
-    guards = 0;
-    guard_hits = 0;
-    hoisted = 0;
-    microkernel_elems = 0;
   }
 
 let bind_buf fr (v : Var.t) (b : Buffer.t) =
@@ -1771,25 +1633,3 @@ let run ?pool (fr : frame) : unit =
     l.ufun_names;
   fr.pool <- pool;
   Fun.protect ~finally:(fun () -> fr.pool <- None) (fun () -> fr.entry fr)
-
-let stats fr =
-  [
-    ("loads", fr.loads);
-    ("stores", fr.stores);
-    ("flops", fr.flops);
-    ("indirect", fr.indirect);
-    ("guards", fr.guards);
-    ("guard_hits", fr.guard_hits);
-    ("hoisted", fr.hoisted);
-    ("microkernel_elems", fr.microkernel_elems);
-  ]
-
-let flush_metrics fr =
-  Obs.Metrics.add (Obs.Metrics.counter "engine.loads") fr.loads;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.stores") fr.stores;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.flops") fr.flops;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.indirect") fr.indirect;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.guards") fr.guards;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.guard_hits") fr.guard_hits;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.hoisted") fr.hoisted;
-  Obs.Metrics.add (Obs.Metrics.counter "engine.microkernel_elems") fr.microkernel_elems

@@ -10,29 +10,22 @@
     indexing.  Evaluation is staged into separate int / float / bool
     closure types, so the hot path never boxes a scalar.
 
-    The engine maintains the same [loads] / [stores] / [flops] /
-    [indirect] / [guards] / [guard_hits] counters as {!Interp}, with the
-    same per-IR-node accounting — a compiled run at the default [O0]
-    level is differentially comparable against the interpreter
-    counter-for-counter and bit-for-bit (see [test/test_engine.ml]).
+    {b Parity.}  The contract with {!Interp} is bitwise {e outputs}: at
+    every level, serial or on a {!Pool}, the engine performs the same
+    float operations in the same order.  At [O0] it also raises on the
+    same out-of-bounds accesses; from [O1] on, bounds checks hoisted to
+    loop endpoints may raise before a partial loop would have (divergence
+    on error paths only).  The engine counts no scalar work — loads,
+    flops, guards and prelude-table accesses are counted only by
+    {!Interp}, the oracle (see [test/test_engine.ml]).
 
     {b Optimization levels.}  [compile ~opt] runs the {!Ir.Optimize}
-    pipeline first and enables engine-side specializations.  At every
-    level the {e outputs} stay bitwise-identical to the interpreter; at
-    [O1]/[O2] the counter profile legitimately differs (and two extra
-    counters appear):
-    - [O1]: LICM preheaders ([hoisted] counts their evaluations; loads
-      and indirect accesses inside hoisted expressions are now counted
-      once per preheader entry instead of once per iteration), plus
-      strength-reduced innermost store loops (running offsets; bounds
-      checks collapse to loop-endpoint checks, so counter divergence on
-      error paths only).
+    pipeline first and enables engine-side specializations:
+    - [O1]: LICM preheaders plus strength-reduced innermost store loops
+      (running offsets; bounds checks collapse to loop-endpoint checks).
     - [O2]: innermost dot / reduction / copy / scale loops fuse into
-      tight float-array microkernels ([microkernel_elems] counts the
-      elements they process; bulk counter accounting with the same
-      success-path totals, except address-tree traffic which follows the
-      LICM rule above).  A microkernel whose destination aliases an input
-      falls back to the generic loop at runtime, preserving parity.
+      tight float-array microkernels.  A microkernel whose destination
+      aliases an input falls back to the generic loop at runtime.
     - [O3]: the microkernel {e body} is selected from the {!Microkernel}
       registry when the closure is built — {!Ir.Optimize.classify_stride}
       picks unit-stride unrolled / [Array.blit] variants over strided
@@ -41,9 +34,12 @@
       operand loaded once per reduction step).  Selection is per compiled
       loop, never per call ([engine.mk_variant.*] counters record it);
       every variant keeps one order-preserving accumulator chain per
-      destination element, so outputs remain bitwise-identical.  Aliased
-      destinations, zero destination strides and zero-trip reductions
-      fall back to the generic loop at runtime.
+      destination element, so outputs remain bitwise-identical.
+
+    The engine's one runtime signal is the [engine.mk_fallback] counter:
+    microkernel blocks that took the generic loop at runtime because the
+    destination aliased an input, the destination stride was zero or the
+    reduction ran zero iterations.
 
     [Alloc] scratch buffers come from {!Buffer.Arena.global} and return
     to it when the body finishes, so steady-state reruns allocate no
@@ -51,9 +47,9 @@
 
     [Parallel]-bound loops execute on a persistent {!Pool} of domains
     (spawned once per [Exec.run], chunked work queue) instead of
-    [Domain.spawn] per loop encounter; per-chunk counters are folded into
-    the parent frame exactly as {!Interp.exec_multicore} folds per-
-    iteration counters, so totals agree with a serial run.
+    [Domain.spawn] per loop encounter.  Only loops reachable through
+    [For] / [Let_stmt] / [Seq] run in parallel; a Parallel loop nested
+    in another, in an [If] branch or in an [Alloc] body runs serially.
 
     Restrictions (by design — lowered kernels satisfy them): buffers are
     float-only ({!bind_buf} rejects [Buffer.I]); programs must be
@@ -90,13 +86,12 @@ end
     structural signature, then instantiate a fresh {!frame} per request. *)
 type compiled
 
-(** A run instance: the slot arrays, buffer / ufun bindings and statistics
-    counters for one execution of a {!compiled} kernel. *)
+(** A run instance: the slot arrays and buffer / ufun bindings for one
+    execution of a {!compiled} kernel. *)
 type frame
 
 (** Compile a lowered statement.  [opt] (default [O0]) selects the
-    {!Ir.Optimize} level; see the module docs for the parity contract per
-    level.  Raises {!Error} on unbound variables, compile-time type
+    {!Ir.Optimize} level; see the module docs.  Raises {!Error} on unbound variables, compile-time type
     mismatches, unknown intrinsics, or [Access] nodes that storage
     lowering should have eliminated. *)
 val compile : ?opt:Ir.Optimize.level -> Ir.Stmt.t -> compiled
@@ -105,8 +100,7 @@ val compile : ?opt:Ir.Optimize.level -> Ir.Stmt.t -> compiled
     observability for the memo layer. *)
 val slot_count : compiled -> int
 
-(** Fresh frame with zeroed counters, no buffers bound, all uninterpreted
-    functions unbound. *)
+(** Fresh frame: no buffers bound, all uninterpreted functions unbound. *)
 val frame : compiled -> frame
 
 (** Bind a buffer.  Names the compiled kernel never references are
@@ -131,20 +125,9 @@ val bind_ufun : frame -> string -> (int list -> int) -> unit
 (** Execute the frame.  Raises {!Error} up front if any externally-bound
     buffer or any uninterpreted function referenced by the kernel is still
     unbound — the compiled analogue of the interpreter's lazy "unbound"
-    errors.  When [pool] is given, [Parallel]-bound loops run across it
-    (counters still fold to serial-identical totals); otherwise they run
-    serially, like {!Interp.exec}. *)
+    errors.  When [pool] is given, [Parallel]-bound loops run across it;
+    otherwise they run serially, like {!Interp.exec}. *)
 val run : ?pool:Pool.t -> frame -> unit
-
-(** Counter snapshot: the {!Interp.stats} names in the same fixed order,
-    followed by the engine-only [hoisted] and [microkernel_elems]. *)
-val stats : frame -> (string * int) list
-
-(** Add the frame's counters into the process-wide {!Obs.Metrics} registry
-    under [engine.loads], [engine.stores], [engine.flops],
-    [engine.indirect], [engine.guards], [engine.guard_hits],
-    [engine.hoisted], [engine.microkernel_elems]. *)
-val flush_metrics : frame -> unit
 
 (** [balance_chunks weights k] cuts the index range [0 .. n-1] (with
     per-index [weights]) into [k] contiguous chunks of roughly equal

@@ -219,30 +219,6 @@ and eval_binop env op a b =
   | Max, _, _ -> float_op Float.max
   | (FloorDiv | Mod), _, _ -> err "floordiv/mod on floats"
 
-(* Execute one loop level across OCaml domains: iterations are chunked, and
-   each domain runs with its own variable map (buffers and ufuns are shared;
-   a correctly-scheduled Parallel loop writes disjoint locations).  Used by
-   [exec_multicore] for [Parallel]-bound loops. *)
-let parallel_for ~(domains : int) m n (f : int -> unit) =
-  if n <= 1 || domains <= 1 then
-    for i = m to m + n - 1 do
-      f i
-    done
-  else begin
-    let d = min domains n in
-    let chunk = (n + d - 1) / d in
-    let workers =
-      List.init d (fun w ->
-          Domain.spawn (fun () ->
-              let lo = m + (w * chunk) in
-              let hi = min (m + n - 1) (lo + chunk - 1) in
-              for i = lo to hi do
-                f i
-              done))
-    in
-    List.iter Domain.join workers
-  end
-
 let rec exec env (s : Stmt.t) : unit =
   match s with
   | For { var; min; extent; body; _ } ->
@@ -302,55 +278,6 @@ let rec exec env (s : Stmt.t) : unit =
       env.bufs <- saved
   | Eval e -> ignore (eval env e)
   | Nop -> ()
-
-(** Execute with [Parallel]-bound loops spread across OCaml domains (the
-    multicore runtime for CPU-scheduled kernels).  Each domain gets its own
-    copy of the scalar environment; buffers are shared — sound because a
-    correctly scheduled parallel loop writes disjoint locations (the same
-    guarantee a real parallel-for needs).  Statistics counters are
-    per-iteration-local and folded into the parent [env] through atomics
-    once all domains join, so a multicore run reports exactly the same
-    counts as a serial one. *)
-and exec_multicore ?(domains = 4) env (s : Stmt.t) : unit =
-  match s with
-  | For { var; min = mn; extent; kind = Parallel; body } ->
-      let m = to_int (eval env mn) and n = to_int (eval env extent) in
-      let loads = Atomic.make 0 and stores = Atomic.make 0 and flops = Atomic.make 0 in
-      let indirect = Atomic.make 0 and guards = Atomic.make 0 and guard_hits = Atomic.make 0 in
-      parallel_for ~domains m n (fun i ->
-          let env' =
-            { env with vars = Var.Map.add var (VInt i) env.vars;
-              loads = 0; stores = 0; flops = 0; indirect = 0; guards = 0; guard_hits = 0 }
-          in
-          exec env' body;
-          ignore (Atomic.fetch_and_add loads env'.loads);
-          ignore (Atomic.fetch_and_add stores env'.stores);
-          ignore (Atomic.fetch_and_add flops env'.flops);
-          ignore (Atomic.fetch_and_add indirect env'.indirect);
-          ignore (Atomic.fetch_and_add guards env'.guards);
-          ignore (Atomic.fetch_and_add guard_hits env'.guard_hits));
-      env.loads <- env.loads + Atomic.get loads;
-      env.stores <- env.stores + Atomic.get stores;
-      env.flops <- env.flops + Atomic.get flops;
-      env.indirect <- env.indirect + Atomic.get indirect;
-      env.guards <- env.guards + Atomic.get guards;
-      env.guard_hits <- env.guard_hits + Atomic.get guard_hits
-  | For { var; min = mn; extent; kind; body } ->
-      let m = to_int (eval env mn) and n = to_int (eval env extent) in
-      ignore kind;
-      let saved = env.vars in
-      for i = m to m + n - 1 do
-        env.vars <- Var.Map.add var (VInt i) saved;
-        exec_multicore ~domains env body
-      done;
-      env.vars <- saved
-  | Let_stmt (v, e, body) ->
-      let saved = env.vars in
-      bind_var env v (eval env e);
-      exec_multicore ~domains env body;
-      env.vars <- saved
-  | Seq l -> List.iter (exec_multicore ~domains env) l
-  | s -> exec env s
 
 (** Add the environment's statistics counters into the process-wide
     metrics registry (under [interp.*]).  Called once per run by

@@ -1,7 +1,9 @@
 (** Reference interpreter for the lowered IR — the ground truth of the test
     suite.  Executes kernels scalar-by-scalar over real buffers with bounds
     checking; GPU/parallel bindings run sequentially (bindings only matter
-    to the machine model). *)
+    to the machine model).  It is the only component that counts scalar
+    work (the [env] statistics below); {!Engine} reproduces its outputs
+    bitwise but counts nothing. *)
 
 type value = VInt of int | VFloat of float | VBool of bool
 
@@ -49,14 +51,6 @@ val erf_approx : float -> float
 
 val eval : env -> Ir.Expr.t -> value
 val exec : env -> Ir.Stmt.t -> unit
-
-(** Execute with [Parallel]-bound loops spread across OCaml domains — the
-    multicore runtime for CPU-scheduled kernels.  Buffers are shared (a
-    correctly scheduled parallel loop writes disjoint locations); the
-    per-domain statistics counters are aggregated into [env] when the
-    domains join, so a multicore run reports the same counts as a serial
-    one. *)
-val exec_multicore : ?domains:int -> env -> Ir.Stmt.t -> unit
 
 (** Add the environment's statistics counters into the process-wide
     {!Obs.Metrics} registry under [interp.loads], [interp.stores],

@@ -101,7 +101,7 @@ type exec_stats = {
 }
 
 let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
-    (built : Prelude.built) : counters * float array * exec_stats =
+    (built : Prelude.built) : counters option * float array * exec_stats =
   (* a tuned point may carry an engine opt-level override (the tuner's
      opt axis); every level is bitwise-identical, so this never changes
      the response payload *)
@@ -175,7 +175,11 @@ let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
       x_arena_misses = !arena_misses;
     }
   in
-  (Runtime.Interp.stats env, out, stats)
+  (Option.map Runtime.Interp.stats env, out, stats)
+
+(* Modelled request time, not a wall-clock latency; the handle is held
+   here so a request never takes the registry's lock to find it. *)
+let model_ns_h = Obs.Metrics.histogram "serve.model_ns"
 
 let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload.t)
     (lens : int array) : response =
@@ -421,7 +425,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
               ?opt_override:(Option.map Ir.Optimize.level_of_int opt_ov)
               srv job built)
       in
-      (Some c, Some o, s)
+      (c, Some o, s)
     else
       ( None,
         None,
@@ -472,7 +476,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
               (pkey_of tuned));
         ("miss", Obs.Trace_sink.now_us () -. t0)
   in
-  Obs.Metrics.observe (Obs.Metrics.histogram "serve.latency_ns") model_ns;
+  Obs.Metrics.observe model_ns_h model_ns;
   Obs.Span.add_attr "model_ns" (Obs.Trace_sink.Float model_ns);
   Obs.Span.add_attr "compile_hits" (Obs.Trace_sink.Int compile_hits);
   Obs.Span.add_attr "prelude_hit" (Obs.Trace_sink.Str (if prelude_hit then "yes" else "no"));

@@ -6,9 +6,9 @@
 
     Both caches can be bypassed per server — a bypassed server recompiles
     and rebuilds everything per request, which is what the differential
-    tests compare against.  Latencies are model time (deterministic), not
-    wall time; each request runs under a [serve.request] span and lands in
-    the [serve.latency_ns] histogram. *)
+    tests compare against.  [model_ns] is model time (deterministic), not
+    a wall-clock latency; each request runs under a [serve.request] span
+    and lands in the [serve.model_ns] histogram. *)
 
 (** Interpreter statistics of one request, for differential comparison. *)
 type counters = (string * int) list
@@ -35,7 +35,9 @@ type response = {
   stages_us : (string * float) list;
       (** wall-clock duration of each pipeline stage, in request order:
           [("compile", _); ("prelude", _); ("launch", _); ("execute", _)] *)
-  counters : counters option;  (** [None] when execution is off *)
+  counters : counters option;
+      (** [None] when execution is off or runs on the compiled engine,
+          which counts no scalar work *)
   out : float array option;  (** dense (padded) output values *)
   checksum : float;  (** sum of [out]; 0 when execution is off *)
 }
@@ -46,7 +48,7 @@ type t
     execution (machine-model timing only): streams too large to execute
     still exercise both caches.  [~engine] selects how [~execute:true]
     requests run: the reference interpreter (default) or the compiled
-    closure engine — identical outputs and counters, far less overhead
+    closure engine — identical outputs, far less overhead, no counters
     (see {!Cora.Exec.engine}).  [~opt] (default [O0], compiled engine
     only) selects the {!Ir.Optimize} level — outputs stay
     bitwise-identical at every level.

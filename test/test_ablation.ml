@@ -163,7 +163,7 @@ let test_hoisting_equivalence () =
     Ragged.fill rin (fun idx ->
         sin (float_of_int ((17 * List.nth idx 0) + (3 * List.nth idx 1) + List.nth idx 2)));
     let env, _ = Exec.run_ragged ~lenv ~tensors:(weights @ data) (Builder.kernels built) in
-    (Ragged.unpack (List.nth data 8), env.Runtime.Interp.loads)
+    (Ragged.unpack (List.nth data 8), (Option.get env).Runtime.Interp.loads)
   in
   let out_h, loads_h = run ~hoist:true in
   let out_n, loads_n = run ~hoist:false in

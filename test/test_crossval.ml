@@ -27,7 +27,7 @@ let both (kernels : Lower.kernel list) ~lenv ~(tensors : Ragged.t list) =
       (fun acc (k : Lower.kernel) -> acc +. (CM.compile raw_params k.Lower.body cenv).CM.flops)
       0.0 kernels
   in
-  (float_of_int env.Runtime.Interp.flops, model)
+  (float_of_int (Option.get env).Runtime.Interp.flops, model)
 
 let test_vgemm_flops_agree () =
   (* vgemm: no guards, no selects -> exact agreement *)
@@ -76,7 +76,8 @@ let test_guard_overhead_visible () =
   Ragged.fill ra2 (fun _ -> 1.0);
   Ragged.fill rb2 (fun _ -> 1.0);
   let env2, _ = Exec.run_ragged ~lenv:t2.Matmul.Trmm.lenv ~tensors:[ ra2; rb2; rc2 ] t2.Matmul.Trmm.kernels in
-  Alcotest.(check int) "same real flops" env.Runtime.Interp.flops env2.Runtime.Interp.flops
+  Alcotest.(check int) "same real flops" (Option.get env).Runtime.Interp.flops
+    (Option.get env2).Runtime.Interp.flops
 
 (* ---------------- unroll transformation ---------------- *)
 

@@ -1,6 +1,6 @@
-(* Multicore execution: CPU-scheduled (Parallel-bound) kernels executed
-   across OCaml domains must produce exactly the same results as serial
-   interpretation. *)
+(* Multicore execution: CPU-scheduled (Parallel-bound) kernels executed on
+   the compiled engine's domain pool must produce exactly the bits of a
+   serial interpreter run. *)
 
 open Cora
 open Transformer
@@ -9,17 +9,26 @@ let lens = [| 7; 4; 2 |]
 let cfg = Config.tiny ~lens
 let lenv = Config.lenv cfg
 
-let run ~multicore =
+let bits = Array.map Int64.bits_of_float
+
+(* [`Interp] on one domain is the serial oracle ([Interp.exec]);
+   [`Compiled] with [domains > 1] runs Parallel loops on the pool. *)
+let exec ~engine ~domains ~lenv tensors kernels =
+  ignore (Exec.run_ragged ~engine ~domains ~lenv ~tensors kernels)
+
+(* The CPU-scheduled encoder layer, executed by [exec]; returns the
+   unpacked output. *)
+let encoder exec =
   let built = Builder.build ~target:Builder.Cpu cfg in
   let t = built.Builder.tensors in
   let w = Reference.random_weights cfg ~seed:3 in
-  let env = Runtime.Interp.create () in
+  let tensors = ref [] in
   let bind (tensor : Tensor.t) a =
     let r = Ragged.alloc tensor lenv in
     (match a with
     | Some src -> Array.blit src 0 (Runtime.Buffer.floats r.Ragged.buf) 0 (Array.length src)
     | None -> ());
-    Runtime.Interp.bind_buf env tensor.Tensor.buf r.Ragged.buf;
+    tensors := r :: !tensors;
     r
   in
   let _ = bind t.Builder.wqkv (Some w.Reference.wqkv) in
@@ -34,104 +43,76 @@ let run ~multicore =
   List.iter
     (fun tensor -> ignore (bind tensor None))
     [ t.Builder.qkv; t.Builder.scores; t.Builder.probs; t.Builder.attn; t.Builder.p2;
-      t.Builder.ln1; t.Builder.f1 ]
-  |> ignore;
+      t.Builder.ln1; t.Builder.f1 ];
   let rout = bind t.Builder.out None in
   Ragged.fill rin (fun idx ->
       cos (float_of_int ((11 * List.nth idx 0) + (3 * List.nth idx 1) + List.nth idx 2)) *. 0.4);
-  let kernels = Builder.kernels built in
-  let defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) kernels in
-  let prelude = Prelude.build defs lenv in
-  Prelude.bind_all prelude env;
-  Prelude.bind_lenfuns lenv env;
-  List.iter
-    (fun (k : Lower.kernel) ->
-      if multicore then Runtime.Interp.exec_multicore ~domains:4 env k.Lower.body
-      else Runtime.Interp.exec env k.Lower.body)
-    kernels;
-  (Ragged.unpack rout, env)
+  exec !tensors (Builder.kernels built);
+  Ragged.unpack rout
 
 let test_multicore_identical () =
-  let serial, _ = run ~multicore:false in
-  let parallel, _ = run ~multicore:true in
+  let serial = encoder (exec ~engine:`Interp ~domains:1 ~lenv) in
+  let parallel = encoder (exec ~engine:`Compiled ~domains:4 ~lenv) in
   Alcotest.(check int) "same size" (Array.length serial) (Array.length parallel);
   Array.iteri
     (fun i x ->
-      if Float.abs (x -. parallel.(i)) > 0.0 then
-        Alcotest.failf "multicore diverges at %d: %.9f vs %.9f" i serial.(i) parallel.(i))
+      if Int64.bits_of_float x <> Int64.bits_of_float parallel.(i) then
+        Alcotest.failf "pool diverges at %d: %.9f vs %.9f" i x parallel.(i))
     serial
 
-let test_parallel_for_covers_range () =
-  let hits = Array.make 23 0 in
-  Runtime.Interp.exec_multicore ~domains:4 (Runtime.Interp.create ())
-    (Ir.Stmt.For
-       {
-         var = Ir.Var.fresh "i";
-         min = Ir.Expr.int 0;
-         extent = Ir.Expr.int 0;
-         kind = Parallel;
-         body = Ir.Stmt.Nop;
-       });
-  (* direct check through a kernel writing its index *)
-  let buf = Ir.Var.fresh "out" in
-  let env = Runtime.Interp.create () in
-  let arr = Array.make 23 0.0 in
-  Runtime.Interp.bind_buf env buf (Runtime.Buffer.of_floats arr);
-  let i = Ir.Var.fresh "i" in
-  Runtime.Interp.exec_multicore ~domains:5 env
-    (Ir.Stmt.For
-       {
-         var = i;
-         min = Ir.Expr.int 0;
-         extent = Ir.Expr.int 23;
-         kind = Parallel;
-         body = Ir.Stmt.Store { buf; index = Ir.Expr.var i; value = Ir.Expr.add (Ir.Expr.var i) Ir.Expr.one };
-       });
-  Array.iteri (fun idx v -> if int_of_float v <> idx + 1 then Alcotest.failf "missed %d" idx) arr;
-  ignore hits
-
-(* Regression: statistics from iterations executed on worker domains used
-   to be dropped; a multicore run must report exactly the counters of the
-   equivalent serial one. *)
-let test_multicore_counters_aggregate () =
-  let mk () =
-    let buf = Ir.Var.fresh "out" in
-    let env = Runtime.Interp.create () in
-    Runtime.Interp.bind_buf env buf (Runtime.Buffer.of_floats (Array.make 40 0.0));
-    let i = Ir.Var.fresh "i" in
-    let body =
-      Ir.Stmt.For
-        {
-          var = i;
-          min = Ir.Expr.int 0;
-          extent = Ir.Expr.int 40;
-          kind = Parallel;
-          body =
-            Ir.Stmt.Store
-              { buf; index = Ir.Expr.var i; value = Ir.Expr.add (Ir.Expr.var i) Ir.Expr.one };
-        }
-    in
-    (env, body)
+(* O[i] = i + 1 with its only loop Parallel-bound: every iteration must run
+   exactly once on the pool, including ranges shorter than the domain
+   count. *)
+let iota n =
+  let d = Dim.make "i" in
+  let o = Tensor.create ~name:"IOTA" ~dims:[ d ] ~extents:[ Shape.fixed n ] in
+  let op =
+    Op.compute ~name:"iota" ~out:o ~loop_extents:[ Shape.fixed n ] ~reads:[]
+      (fun idx -> Ir.Expr.add (List.nth idx 0) Ir.Expr.one)
   in
-  let senv, sbody = mk () in
-  Runtime.Interp.exec senv sbody;
-  let menv, mbody = mk () in
-  Runtime.Interp.exec_multicore ~domains:4 menv mbody;
-  Alcotest.(check int) "stores" senv.Runtime.Interp.stores menv.Runtime.Interp.stores;
-  Alcotest.(check int) "loads" senv.Runtime.Interp.loads menv.Runtime.Interp.loads;
-  Alcotest.(check int) "flops" senv.Runtime.Interp.flops menv.Runtime.Interp.flops;
-  Alcotest.(check int) "all 40 stores seen" 40 menv.Runtime.Interp.stores
+  let s = Schedule.create op in
+  Schedule.parallelize s (Schedule.axis_of_dim s 0);
+  (Lower.lower s, o)
 
-let test_multicore_encoder_counters () =
-  let _, senv = run ~multicore:false in
-  let _, menv = run ~multicore:true in
-  Alcotest.(check int) "loads" senv.Runtime.Interp.loads menv.Runtime.Interp.loads;
-  Alcotest.(check int) "stores" senv.Runtime.Interp.stores menv.Runtime.Interp.stores;
-  Alcotest.(check int) "flops" senv.Runtime.Interp.flops menv.Runtime.Interp.flops;
-  Alcotest.(check int) "indirect" senv.Runtime.Interp.indirect menv.Runtime.Interp.indirect;
-  Alcotest.(check int) "guards" senv.Runtime.Interp.guards menv.Runtime.Interp.guards;
-  Alcotest.(check int) "guard hits" senv.Runtime.Interp.guard_hits
-    menv.Runtime.Interp.guard_hits
+let test_parallel_for_covers_range () =
+  List.iter
+    (fun (n, domains) ->
+      let kernel, o = iota n in
+      let run exec =
+        let r = Ragged.alloc o [] in
+        exec [ r ] [ kernel ];
+        Array.copy (Runtime.Buffer.floats r.Ragged.buf)
+      in
+      let oracle = run (exec ~engine:`Interp ~domains:1 ~lenv:[]) in
+      let pooled = run (exec ~engine:`Compiled ~domains ~lenv:[]) in
+      Array.iteri
+        (fun i v -> if int_of_float v <> i + 1 then Alcotest.failf "n=%d: missed %d" n i)
+        pooled;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d on %d domains bitwise = serial" n domains)
+        true
+        (bits pooled = bits oracle))
+    [ (23, 5); (23, 4); (3, 4); (1, 4) ];
+  (* a zero-trip Parallel loop on a live pool is a no-op *)
+  let module E = Runtime.Engine in
+  let pool = E.Pool.create ~domains:4 () in
+  Fun.protect ~finally:(fun () -> E.Pool.shutdown pool) @@ fun () ->
+  let fr =
+    E.frame
+      (E.compile
+         (Ir.Stmt.For
+            { var = Ir.Var.fresh "i"; min = Ir.Expr.int 0; extent = Ir.Expr.int 0;
+              kind = Parallel; body = Ir.Stmt.Nop }))
+  in
+  E.run ~pool fr
+
+(* The interpreter is the serial oracle: asking it for domains is an error,
+   not a silent serial run. *)
+let test_interp_rejects_domains () =
+  let kernel, o = iota 4 in
+  Alcotest.check_raises "~domains:4 under `Interp"
+    (Invalid_argument "Exec.run: ~domains > 1 needs the compiled engine") (fun () ->
+      ignore (Exec.run_ragged ~domains:4 ~lenv:[] ~tensors:[ Ragged.alloc o [] ] [ kernel ]))
 
 (* Regression hammer for the per-dimension offset memo: it used to be a
    plain Hashtbl shared across domains (unsynchronized resize = torn
@@ -182,10 +163,7 @@ let () =
         [
           Alcotest.test_case "encoder identical across domains" `Quick test_multicore_identical;
           Alcotest.test_case "parallel_for covers the range" `Quick test_parallel_for_covers_range;
-          Alcotest.test_case "counters aggregate across domains" `Quick
-            test_multicore_counters_aggregate;
-          Alcotest.test_case "encoder counters match serial" `Quick
-            test_multicore_encoder_counters;
+          Alcotest.test_case "interp rejects domains" `Quick test_interp_rejects_domains;
           Alcotest.test_case "ragged offset memo race-safe" `Quick
             test_ragged_prefix_cache_race;
         ] );

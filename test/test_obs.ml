@@ -312,6 +312,7 @@ let test_interp_flush_matches () =
   let ra = Cora.Ragged.alloc a lenv and ro = Cora.Ragged.alloc o lenv in
   Cora.Ragged.fill ra (fun _ -> 1.0);
   let env, _ = Cora.Exec.run_ragged ~lenv ~tensors:[ ra; ro ] [ kernel ] in
+  let env = Option.get env in
   let reg name = Metrics.value (Metrics.counter name) in
   Alcotest.(check int) "loads" env.Runtime.Interp.loads (reg "interp.loads");
   Alcotest.(check int) "stores" env.Runtime.Interp.stores (reg "interp.stores");
