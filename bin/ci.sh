@@ -136,7 +136,8 @@ echo "== bench o3 — microkernel speedup floor" >&2
 # cross-level ratio still jitters, so the floor is checked against the
 # best ratio over three whole runs.  O3 must come in at >= 1.5x over O2
 # on vgemm and >= 1.3x on the encoder layer, with outputs
-# bitwise-identical to the interpreter at both levels in every run.
+# bitwise-identical to the interpreter at both levels in every run, and
+# every run's encoder must bind the split nest and the softmax row.
 best_vg=0; best_enc=0
 for i in 1 2 3; do
   dune exec bench/main.exe -- o3 > "$tmpdir/bench_o3_$i.txt"
@@ -148,6 +149,14 @@ for i in 1 2 3; do
   encobj=$(json_field "$o3b" encoder '{[^}]*}')
   vg=$(json_field "$vgobj" speedup_o3_vs_o2)
   enc=$(json_field "$encobj" speedup_o3_vs_o2)
+  # untimed gate: the encoder's O3 compile must bind the operation-split
+  # attention nest and the fused softmax row (no bind means no field,
+  # which json_field fails on)
+  for v in dot.tile4_split softmax.row; do
+    n=$(json_field "$encobj" "mk_variant.$v")
+    awk -v n="$n" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
+      || { echo "ci: encoder O3 bound no $v kernel" >&2; exit 1; }
+  done
   if awk -v a="$vg" -v b="$best_vg" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_vg=$vg; fi
   if awk -v a="$enc" -v b="$best_enc" 'BEGIN { exit (a > b) ? 0 : 1 }'; then best_enc=$enc; fi
 done

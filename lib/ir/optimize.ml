@@ -391,44 +391,37 @@ let classify_inner ~var (body : Stmt.t) : inner option =
    optional epilogue store rewriting the finished cell (a scale, an
    activation).  The classifier peels all of these: pure-integer
    [Let_stmt] bindings are inlined so affine decomposition in [var] sees
-   through preheader variables; the guard and the [var]-wise mask
-   conjuncts are kept for per-iteration evaluation by the engine; a mask
+   through preheader variables; the guard and the inner-var-invariant
+   mask conjuncts are sorted into [var]-invariant ones and affine limits
+   in [var] (operation splitting: each holds on one contiguous range of
+   [var], so the engine evaluates none of them per iteration); a mask
    conjunct of the shape [kvar < bound] becomes an effective reduction
    length; init and epilogue are kept only when they address exactly the
    dot's own cell.  Sum reductions only — the tile's accumulator chains
    must be independent. *)
 
+type cond = Inv of Expr.t | Lim of { base : Expr.t; stride : int; bound : Expr.t }
+type epilogue = Epi_scale of float | Epi_store of Stmt.t
+
 type nest =
   | Tiled_dot of {
       dst : Var.t;
-      dst_ix : affine;  (** destination index, affine in the tile var *)
-      guard : Expr.t option;
-          (** raggedness guard, pure, evaluated per tile-var value *)
+      dst_ix : affine;
+      guard : cond list;
       init : Expr.t option;
-          (** init-store value for the dot's cell, evaluated per tile-var
-              value; [None] means accumulate into the existing cell *)
       init_bufs : Var.t list;
-          (** buffers the init value loads from (beyond the cell itself) —
-              the engine falls back if any aliases the destination *)
-      epi : Stmt.t option;
-          (** epilogue store rewriting the finished cell, run per
-              tile-var value after its chain completes *)
-      epi_bufs : Var.t list;  (** like [init_bufs], for the epilogue *)
-      vmask : Expr.t option;
-          (** inner-var-invariant mask conjuncts, pure, evaluated per
-              tile-var value; false means the chain only accumulates
-              zeros *)
+      epi : epilogue option;
+      epi_bufs : Var.t list;
+      vmask : cond list;
       kbound : Expr.t option;
-          (** mask conjunct [kvar < kbound] (tile-var-invariant): real
-              products stop there, the rest of the chain adds zeros *)
-      kmin : Expr.t;  (** inner loop bounds, tile-var-invariant *)
+      kmin : Expr.t;
       kext : Expr.t;
       shared : Var.t;
-      shared_ix : affine;  (** affine in the inner var; tile-var-invariant *)
-      shared_left : bool;  (** shared operand is the left multiplicand *)
+      shared_ix : affine;
+      shared_left : bool;
       moving : Var.t;
-      moving_kstride : Expr.t;  (** inner-var stride, tile-var-invariant *)
-      moving_jbase : affine;  (** inner-var base, as affine in the tile var *)
+      moving_kstride : Expr.t;
+      moving_jbase : affine;
     }
 
 (* Peelable binding / movable condition: pure arithmetic over any
@@ -457,14 +450,32 @@ let cell_local_bufs ~dst ~dst_idx ~sub e : Var.t list =
 let rec conjuncts c =
   match c with Expr.And (a, b) -> conjuncts a @ conjuncts b | c -> [ c ]
 
+(* Sort one pure conjunct w.r.t. the tile var; anything that is neither
+   invariant nor an affine limit with a positive literal stride rejects
+   the nest.  Integer [a <= b] is [a < b + 1]. *)
+let cond_of ~var c =
+  if not (bool_pure_open c) then raise Not_nest
+  else if not (Expr.uses_var var c) then Inv c
+  else
+    let limit lhs bound =
+      match affine_in var lhs with
+      | Some { base; stride } when not (Expr.uses_var var bound) -> (
+          match const_of stride with
+          | Some stride when stride > 0 -> Lim { base; stride; bound }
+          | _ -> raise Not_nest)
+      | _ -> raise Not_nest
+    in
+    match c with
+    | Expr.Cmp (Expr.Lt, lhs, rhs) -> limit lhs rhs
+    | Expr.Cmp (Expr.Le, lhs, rhs) -> limit lhs (Expr.add rhs Expr.one)
+    | _ -> raise Not_nest
+
 let classify_nest ~var (body : Stmt.t) : nest option =
   try
     let guard, core =
       match body with Stmt.If (c, t, None) -> (Some c, t) | s -> (None, s)
     in
-    (match guard with
-    | Some g when not (bool_pure_open g) -> raise Not_nest
-    | _ -> ());
+    let guard = match guard with None -> [] | Some g -> List.map (cond_of ~var) (conjuncts g) in
     let rec peel m s =
       match s with
       | Stmt.Let_stmt (v, e, b) ->
@@ -511,13 +522,12 @@ let classify_nest ~var (body : Stmt.t) : nest option =
                most one [kvar < bound] threshold; anything else rejects *)
             let vmask, kbound =
               match mask with
-              | None -> (None, None)
+              | None -> ([], None)
               | Some cond ->
                   let vm, kb =
                     List.fold_left
                       (fun (vm, kb) c ->
-                        if not (Expr.uses_var kvar c) then
-                          if bool_pure_open c then (c :: vm, kb) else raise Not_nest
+                        if not (Expr.uses_var kvar c) then (cond_of ~var c :: vm, kb)
                         else
                           match c with
                           | Expr.Cmp (Expr.Lt, Expr.Var k', bound)
@@ -529,13 +539,7 @@ let classify_nest ~var (body : Stmt.t) : nest option =
                           | _ -> raise Not_nest)
                       ([], None) (conjuncts cond)
                   in
-                  let vm =
-                    match List.rev vm with
-                    | [] -> None
-                    | c :: rest ->
-                        Some (List.fold_left (fun e c -> Expr.And (e, c)) c rest)
-                  in
-                  (vm, kb)
+                  (List.rev vm, kb)
             in
             match (affine_in kvar ia, affine_in kvar ib) with
             | Some a_ix, Some b_ix ->
@@ -555,11 +559,16 @@ let classify_nest ~var (body : Stmt.t) : nest option =
                   match epi_stmt with
                   | None -> (None, [])
                   | Some (Stmt.Store { buf; index; value })
-                    when Var.equal buf dst && sub index = dst_idx ->
-                      (* substitute the peeled bindings so the engine can
-                         compile the store stand-alone *)
-                      ( Some (Stmt.Store { buf; index = sub index; value = sub value }),
-                        cell_local_bufs ~dst ~dst_idx ~sub value )
+                    when Var.equal buf dst && sub index = dst_idx -> (
+                      match sub value with
+                      | Expr.Binop (Expr.Mul, Expr.Load { buf = b'; index = i' }, Expr.Float c)
+                        when Var.equal b' dst && i' = dst_idx ->
+                          (Some (Epi_scale c), [])
+                      | value ->
+                          (* substituted, so the engine can compile the
+                             store stand-alone *)
+                          ( Some (Epi_store (Stmt.Store { buf; index = dst_idx; value })),
+                            cell_local_bufs ~dst ~dst_idx ~sub:Fun.id value ))
                   | Some _ -> raise Not_nest
                 in
                 let dst_ix =
@@ -586,6 +595,127 @@ let classify_nest ~var (body : Stmt.t) : nest option =
                 else if invariant b_ix then
                   mk ~shared:b ~shared_ix:b_ix ~shared_left:false ~moving:a (moving_of a_ix)
                 else None
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
+  with Not_nest -> None
+
+(* ------------------------------------------------------------------ *)
+(* Softmax row classification (opt >= 3): the four-loop row body of
+   Custom.softmax as one shape, so the engine can run it as a single
+   fused kernel.  LICM and prelude-hoisting [Let_stmt]s may wrap the
+   loops at any point of the body; being pure integer bindings of
+   globally unique variables, they are inlined by substitution. *)
+
+type softmax_row = {
+  row_size : Expr.t;
+  cols : Expr.t;
+  cols_padded : Expr.t;
+  src : Var.t;
+  src_ix : affine;
+  dst : Var.t;
+  dst_ix : affine;
+  max_init : float;
+  den_init : float;
+  fill : float;
+}
+
+let classify_softmax_row (s : Stmt.t) : softmax_row option =
+  let is v (e : Expr.t) = match e with Expr.Var u -> Var.equal u v | _ -> false in
+  let at buf idx (e : Expr.t) =
+    match e with
+    | Expr.Load { buf = b; index } -> Var.equal b buf && idx index
+    | _ -> false
+  in
+  let zero (e : Expr.t) = match e with Expr.Int 0 -> true | _ -> false in
+  try
+    match s with
+    | Stmt.Alloc
+        {
+          buf = row;
+          size = row_size;
+          body =
+            Stmt.Alloc
+              {
+                buf = mx;
+                size = Expr.Int 1;
+                body = Stmt.Alloc { buf = den; size = Expr.Int 1; body };
+              };
+        } -> (
+        let m = ref Var.Map.empty in
+        let rec flat (s : Stmt.t) =
+          match s with
+          | Stmt.Let_stmt (v, e, b) ->
+              let e = Expr.subst !m e in
+              if not (int_pure_open e) then raise Not_nest;
+              m := Var.Map.add v e !m;
+              flat b
+          | Stmt.Seq l -> List.concat_map flat l
+          | s -> [ s ]
+        in
+        let stmts = flat body in
+        let sub e = Expr.subst !m e in
+        let scratch v = Var.equal v row || Var.equal v mx || Var.equal v den in
+        (* a column loop from 0: its var, substituted extent, body *)
+        let col_loop (s : Stmt.t) =
+          match s with
+          | Stmt.For { var; min; extent; kind = Stmt.Serial; body } when zero min ->
+              (var, sub extent, body)
+          | _ -> raise Not_nest
+        in
+        let x_minus_max c (e : Expr.t) =
+          match e with
+          | Expr.Call ("exp", [ Expr.Binop (Expr.Sub, x, mv) ]) -> at row (is c) x && at mx zero mv
+          | _ -> false
+        in
+        match stmts with
+        | [ copy; Stmt.Store { buf = mx'; index = mi; value = Expr.Float max_init }; rmax;
+            Stmt.Store { buf = den'; index = di; value = Expr.Float den_init }; rsum; out ]
+          when Var.equal mx' mx && Var.equal den' den && zero mi && zero di -> (
+            let c0, cols, copy_body = col_loop copy in
+            let c1, cols1, rmax_body = col_loop rmax in
+            let c2, cols2, rsum_body = col_loop rsum in
+            let c3, cols_padded, out_body = col_loop out in
+            if not (cols1 = cols && cols2 = cols && int_pure_open cols
+                    && int_pure_open cols_padded && int_pure_open row_size)
+            then raise Not_nest;
+            let affine c e =
+              match affine_in c (sub e) with
+              | Some ax when int_pure_open ax.base && int_pure_open ax.stride -> ax
+              | _ -> raise Not_nest
+            in
+            match (copy_body, rmax_body, rsum_body, out_body) with
+            | ( Stmt.Store { buf = row'; index = ri; value = Expr.Load { buf = src; index = si } },
+                Stmt.Reduce_store { buf = mx''; index = mi'; value = rv; op = Stmt.Rmax },
+                Stmt.Reduce_store { buf = den''; index = di'; value = ev; op = Stmt.Sum },
+                Stmt.Store
+                  {
+                    buf = dst;
+                    index = oi;
+                    value =
+                      Expr.Select
+                        ( Expr.Cmp (Expr.Lt, cv, cols3),
+                          Expr.Binop (Expr.Div, ov, dv),
+                          Expr.Float fill );
+                  } )
+              when Var.equal row' row && is c0 ri && (not (scratch src))
+                   && Var.equal mx'' mx && zero mi' && at row (is c1) rv
+                   && Var.equal den'' den && zero di' && x_minus_max c2 ev
+                   && (not (scratch dst)) && is c3 cv && sub cols3 = cols
+                   && x_minus_max c3 ov && at den zero dv ->
+                Some
+                  {
+                    row_size;
+                    cols;
+                    cols_padded;
+                    src;
+                    src_ix = affine c0 si;
+                    dst;
+                    dst_ix = affine c3 oi;
+                    max_init;
+                    den_init;
+                    fill;
+                  }
             | _ -> None)
         | _ -> None)
     | _ -> None

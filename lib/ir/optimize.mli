@@ -15,12 +15,12 @@
     - {b innermost-loop classification} ({!classify_inner}): recognizes
       dense dot / reduction / copy / scale loop bodies so the engine can
       emit fused microkernels;
-    - {b stride and nest classification} ({!classify_stride},
-      {!classify_nest}): folds affine strides to compile-time classes
-      (statically-unit / statically-constant / dynamic) and recognizes
-      register-tilable dot nests, so the [O3] engine selects a
-      specialized kernel variant when the closure is built rather than
-      per call.
+    - {b stride, nest and row classification} ({!classify_stride},
+      {!classify_nest}, {!classify_softmax_row}): folds affine strides to
+      compile-time classes (statically-unit / statically-constant /
+      dynamic) and recognizes register-tilable dot nests and softmax
+      rows, so the [O3] engine selects a specialized kernel variant when
+      the closure is built rather than per call.
 
     The pipeline itself never changes observable values: hoisting moves
     only {e pure integer} expressions (no loads, no float ops, no
@@ -115,6 +115,23 @@ type stride_class = S_unit | S_const of int | S_dyn
 
 val classify_stride : affine -> stride_class
 
+(** A guard or mask conjunct, sorted at classification time for
+    {e operation splitting} (CoRa's peeling of the ragged boundary):
+    [Inv c] does not mention the tile var, so one evaluation per block
+    decides it for every tile-var value; [Lim] is
+    [base + stride * j < bound] with [base] and [bound] tile-var-invariant
+    and [stride > 0] (a source [a(j) <= b] arrives as [a(j) < b + 1]), so
+    it holds exactly on a prefix of the [j] range, computed once per
+    block.  Conjuncts are pure and kept in source order. *)
+type cond = Inv of Expr.t | Lim of { base : Expr.t; stride : int; bound : Expr.t }
+
+(** Epilogue store rewriting a finished dot cell.  [Epi_scale c] is
+    [cell = cell * c] with a literal [c], which the engine folds into the
+    accumulator store (bitwise the same: the generic path stores the
+    chain, reloads the same cell and multiplies); [Epi_store s] is any
+    other cell-local store, run per tile-var value. *)
+type epilogue = Epi_scale of float | Epi_store of Stmt.t
+
 (** Two-deep nest shape the engine register-tiles at [O3]: a loop over
     the tile var whose body is a serial dot loop writing a distinct
     destination element per tile-var iteration.  [shared]'s address is
@@ -127,22 +144,20 @@ type nest =
   | Tiled_dot of {
       dst : Var.t;
       dst_ix : affine;  (** destination index, affine in the tile var *)
-      guard : Expr.t option;
-          (** raggedness guard, pure, evaluated per tile-var value *)
+      guard : cond list;
+          (** raggedness guard conjuncts; tile-var values where any is
+              false leave their cell untouched *)
       init : Expr.t option;
           (** init-store value for the dot's cell, evaluated per tile-var
               value; [None] means accumulate into the existing cell *)
       init_bufs : Var.t list;
           (** buffers the init value loads from (beyond the cell itself) —
               the engine falls back if any aliases the destination *)
-      epi : Stmt.t option;
-          (** epilogue store rewriting the finished cell, run per tile-var
-              value after its chain completes *)
-      epi_bufs : Var.t list;  (** like [init_bufs], for the epilogue *)
-      vmask : Expr.t option;
-          (** inner-var-invariant mask conjuncts, pure, evaluated per
-              tile-var value; false means the chain only accumulates
-              zeros *)
+      epi : epilogue option;  (** run per tile-var value after its chain completes *)
+      epi_bufs : Var.t list;  (** like [init_bufs], for an [Epi_store] *)
+      vmask : cond list;
+          (** inner-var-invariant mask conjuncts; where any is false the
+              chain only accumulates zeros *)
       kbound : Expr.t option;
           (** mask conjunct [kvar < kbound] (tile-var-invariant): real
               products stop there, the rest of the chain adds zeros *)
@@ -163,11 +178,41 @@ val classify_nest : var:Var.t -> Stmt.t -> nest option
     [If (guard) { dst[i] = init; let hv = ...;
                   for k { dst[i] += mask ? a[..]*b[..] : 0. };
                   dst[i] = epi }]
-    — the guard, init value, mask conjuncts and epilogue store are kept
-    in the result for the engine to evaluate per tile-var value (init and
-    epilogue only when they address exactly the dot's own cell; masks
-    split into tile-var-wise conjuncts and one [k < bound] threshold; the
+    — the guard conjuncts, init value, mask conjuncts and epilogue store
+    are kept in the result for the engine (init and epilogue only when
+    they address exactly the dot's own cell; masks split into
+    inner-var-invariant conjuncts and one [k < bound] threshold; the
     masked dot's false branch must be literal [+0.0], which the tiled
     kernel reproduces by skipping the zero adds and clearing a possible
-    [-0.0] accumulator).  Pure-integer [Let_stmt] preheader bindings are
-    inlined into the returned expressions.  [Sum] reductions only. *)
+    [-0.0] accumulator).  Every guard and inner-var-invariant mask
+    conjunct must be a {!cond}: a conjunct that is neither tile-var
+    invariant nor an affine limit with a positive literal stride rejects
+    the nest.  Pure-integer [Let_stmt] preheader bindings are inlined
+    into the returned expressions.  [Sum] reductions only. *)
+
+(** The softmax row body [Transformer.Custom.softmax] lowers to, as one
+    shape: three [Alloc]s (row scratch, running max, denominator) around
+    a copy of [cols] source elements into the scratch, a max reduction
+    from [max_init], a [Σ exp(x - max)] from [den_init], and a store of
+    [select(c < cols, exp(x_c - max) / den, fill)] over [cols_padded]
+    destination elements.  [src_ix] / [dst_ix] are the column-affine
+    source and destination indices; [row_size] is the scratch's
+    allocation size.  Every column-invariant expression is pure integer
+    arithmetic with the peeled [Let_stmt] bindings inlined. *)
+type softmax_row = {
+  row_size : Expr.t;
+  cols : Expr.t;
+  cols_padded : Expr.t;
+  src : Var.t;
+  src_ix : affine;
+  dst : Var.t;
+  dst_ix : affine;
+  max_init : float;
+  den_init : float;
+  fill : float;
+}
+
+val classify_softmax_row : Stmt.t -> softmax_row option
+(** Classify an [Alloc] statement against {!softmax_row}.  [cols] may be
+    any int expression that does not depend on the column loops (the row
+    length, a triangle-limited prefix, a second length function). *)

@@ -388,6 +388,61 @@ let compile_cmp (op : Expr.cmpop) ca cb : cexpr =
       | Expr.Eq -> CBool (fun fr -> fa fr = fb fr)
       | Expr.Ne -> CBool (fun fr -> fa fr <> fb fr))
 
+(* Linear integer forms (opt >= 1): an int expression built from int
+   literals, int variables, [+], [-] and [*] by a literal is
+   [c + k1*v1 + ... + kn*vn], and compiles to one closure instead of one
+   per node — the index arithmetic tiled nests evaluate at every block
+   entry.  Exact: int arithmetic is modular, so regrouping the terms
+   cannot change the value.  [None] when any leaf is something else. *)
+let linear_form ctx (e : Expr.t) : (int * (int * int) list) option =
+  let exception Not_linear in
+  let rec go k (e : Expr.t) ((c, terms) as acc) =
+    match e with
+    | Int n -> (c + (k * n), terms)
+    | Var v -> (
+        match Hashtbl.find_opt ctx.vars v.Var.id with
+        | Some (SInt s) ->
+            let k0 = Option.value (List.assoc_opt s terms) ~default:0 in
+            (c, (s, k0 + k) :: List.remove_assoc s terms)
+        | _ -> raise Not_linear)
+    | Binop (Add, a, b) -> go k b (go k a acc)
+    | Binop (Sub, a, b) -> go (-k) b (go k a acc)
+    | Binop (Mul, a, b) -> (
+        match (Optimize.const_of a, Optimize.const_of b) with
+        | Some n, _ -> go (k * n) b acc
+        | _, Some n -> go (k * n) a acc
+        | None, None -> raise Not_linear)
+    | _ -> raise Not_linear
+  in
+  match go 1 e (0, []) with
+  | c, terms -> Some (c, List.rev (List.filter (fun (_, k) -> k <> 0) terms))
+  | exception Not_linear -> None
+
+let compile_linear c terms : cexpr =
+  match terms with
+  | [] -> CInt (fun _ -> c)
+  | [ (s, k) ] -> CInt (fun fr -> c + (k * Array.unsafe_get fr.ints s))
+  | [ (s1, k1); (s2, k2) ] ->
+      CInt (fun fr -> c + (k1 * Array.unsafe_get fr.ints s1) + (k2 * Array.unsafe_get fr.ints s2))
+  | [ (s1, k1); (s2, k2); (s3, k3) ] ->
+      CInt
+        (fun fr ->
+          let ints = fr.ints in
+          c
+          + (k1 * Array.unsafe_get ints s1)
+          + (k2 * Array.unsafe_get ints s2)
+          + (k3 * Array.unsafe_get ints s3))
+  | terms ->
+      let slots = Array.of_list (List.map fst terms) in
+      let ks = Array.of_list (List.map snd terms) in
+      CInt
+        (fun fr ->
+          let v = ref c in
+          for i = 0 to Array.length slots - 1 do
+            v := !v + (Array.unsafe_get ks i * Array.unsafe_get fr.ints (Array.unsafe_get slots i))
+          done;
+          !v)
+
 let rec compile_expr ctx (e : Expr.t) : cexpr =
   match e with
   | Int n -> CInt (fun _ -> n)
@@ -399,7 +454,10 @@ let rec compile_expr ctx (e : Expr.t) : cexpr =
       | Some (SFloat s) -> CFloat (fun fr -> Array.unsafe_get fr.floats s)
       | Some (SBool s) -> CBool (fun fr -> Array.unsafe_get fr.bools s)
       | None -> err "unbound variable %s" (Var.mangled v))
-  | Binop (op, a, b) -> compile_binop op (compile_expr ctx a) (compile_expr ctx b)
+  | Binop (op, a, b) -> (
+      match if ctx.opt >= 1 then linear_form ctx e else None with
+      | Some (c, terms) -> compile_linear c terms
+      | None -> compile_binop op (compile_expr ctx a) (compile_expr ctx b))
   | Cmp (op, a, b) -> compile_cmp op (compile_expr ctx a) (compile_expr ctx b)
   | And (a, b) ->
       let fa = as_bool (compile_expr ctx a) and fb = as_bool (compile_expr ctx b) in
@@ -572,7 +630,8 @@ let run_parallel pool (fr : frame) slot m n ?est (cbody : frame -> unit) =
         let ws =
           Array.init n (fun j ->
               Array.unsafe_set fr.ints slot (m + j);
-              try max 1 (est fr) with _ -> 1)
+              (* an estimate that fails (an engine [Error]) weighs 1 *)
+              try Int.max 1 (est fr) with Error _ -> 1)
         in
         balance_chunks ws chunks
   in
@@ -888,30 +947,199 @@ let emit_inner ctx (p : Optimize.inner) :
    loaded once per reduction step.  Each destination keeps its own
    order-preserving accumulator chain (the chains are independent), so
    tiling cannot perturb float results.  [slot] is the tile variable's
-   frame slot — the peeled raggedness guard, if any, is evaluated once
-   per tile-var value with the slot set, exactly like the generic [If];
-   runs of consecutive guard-true iterations tile in groups of four,
-   guard-false iterations are skipped.  A peeled init store becomes the
-   accumulators' start value (evaluated per tile-var value — a bias row,
-   or the cell itself); a peeled epilogue store reruns per tile-var value
-   after its chain completes (a scale, an activation).
+   frame slot, set before an init or epilogue expression reads it.
 
-   Masked dots ([Select (mask, a*b, +0.)] reduction values) use the
-   zero-add identity: [acc +. +0.] equals [acc] except that [-0. +. +0.]
-   is [+0.], so skipping a {e tail} of masked-out steps is exact after
-   clearing a possible [-0.] accumulator — [fix_tail].  The tile-var-wise
-   mask conjuncts gate the whole chain (false: the chain is init plus
-   [nk] zero adds = [fix_tail init]); a [k < bound] conjunct truncates it
-   to [nk_eff] real steps plus a fixed tail.  Skipped steps also skip
-   their operand loads — safe, because [Select] never evaluates the
-   untaken branch in the generic engine or the interpreter either.
+   Operation splitting (CoRa's peeling of the ragged boundary).
+   Optimize.classify_nest sorted the guard and mask conjuncts into
+   tile-var-invariant ones and affine limits; at block entry each is
+   evaluated once, in source order, narrowing [m, m+n) to the prefix
+   where it holds.  Cells past the guard prefix are untouched; inside
+   it, the mask prefix runs plain tile4 tiles with no per-cell
+   evaluation, and the peeled rest runs zero chains.
+
+   A zero chain is one whose mask is false for every k: init plus nk
+   zero adds.  Masked dots ([Select (mask, a*b, +0.)] reduction values)
+   use the zero-add identity: [acc +. +0.] equals [acc] except that
+   [-0. +. +0.] is [+0.], so skipping a {e tail} of masked-out steps is
+   exact after clearing a possible [-0.] accumulator — [fix_tail].  A
+   [k < bound] conjunct truncates every chain to [nk_eff] real steps
+   plus a fixed tail.  Skipped steps also skip their operand loads —
+   safe, because [Select] never evaluates the untaken branch in the
+   generic engine or the interpreter either.  The generic nest runs the
+   epilogue after every chain, zero chains included, and so does this
+   one; an [Epi_scale] epilogue is folded into the cell store.
 
    Falls back to the generic tile loop when the reduction runs zero
    iterations, when the destination aliases an operand or an init /
    epilogue input, or when the destination stride is zero (the chains
    would collapse onto one cell).  Bounds checks are endpoint checks per
-   processed span — never for iterations the guard or mask skips. *)
+   processed range — none for cells the guard skips, and no operand
+   checks for zero chains. *)
 let neg_zero_bits = Int64.bits_of_float (-0.0)
+
+(* acc +. (+0.) == acc except -0. +. +0. == +0. — applying this once
+   replays a whole tail of masked-out adds *)
+let[@inline] fix_tail v = if Int64.equal (Int64.bits_of_float v) neg_zero_bits then 0.0 else v
+
+(* floor division by a positive divisor *)
+let fdiv a b = if a >= 0 then a / b else -((b - 1 - a) / b)
+
+type ccond =
+  | C_inv of (frame -> bool)
+  | C_lim of { base : frame -> int; stride : int; bound : frame -> int }
+
+let compile_cond ctx = function
+  | Optimize.Inv c -> C_inv (as_bool (compile_expr ctx c))
+  | Optimize.Lim { base; stride; bound } ->
+      C_lim
+        { base = as_int (compile_expr ctx base); stride; bound = as_int (compile_expr ctx bound) }
+
+(* The end of the prefix of [lo, hi) where every conjunct holds (empty
+   when [<= lo]): [base + stride*j < bound] with [stride > 0] is
+   [j <= floor ((bound - base - 1) / stride)].  Conjuncts are evaluated
+   in source order and no further once the prefix is empty, as the
+   generic path's short-circuit [&&] would for every j. *)
+let narrow conds fr lo hi =
+  let hi = ref hi and i = ref 0 in
+  while !i < Array.length conds && lo < !hi do
+    (match Array.unsafe_get conds !i with
+    | C_inv f -> if not (f fr) then hi := lo
+    | C_lim { base; stride; bound } ->
+        let d = bound fr - base fr in
+        (* no hardware division for the usual unit stride *)
+        let h = if stride = 1 then d else fdiv (d - 1) stride + 1 in
+        if h < !hi then hi := h);
+    incr i
+  done;
+  !hi
+
+(* some init / epilogue input bound to the destination array *)
+let rec aliases fr darr slots i =
+  i < Array.length slots
+  && (Array.unsafe_get fr.fbufs (Array.unsafe_get slots i) == darr || aliases fr darr slots (i + 1))
+
+type init_kind = I_cell | I_const of float | I_expr of (frame -> float)
+type epi_kind = E_none | E_scale of float | E_store of (frame -> unit)
+
+(* What a tiled nest fixes when its closure is built ... *)
+type nest_static = {
+  slot : int;  (* the tile var's frame slot *)
+  init_k : init_kind;
+  epi_k : epi_kind;
+  shared_left : bool;
+  dname : string;
+  sname : string;
+  mname : string;
+}
+
+(* ... and what it resolves at block entry.  The cell helpers below take
+   the block whole, so a block allocates this record rather than one
+   closure per helper. *)
+type nest_block = {
+  st : nest_static;
+  fr : frame;
+  darr : float array;
+  db : int;  (* cell j lives at db + j*dstep *)
+  dstep : int;
+  sarr : float array;
+  s0 : int;
+  ss : int;
+  marr : float array;
+  mb : int;  (* chain j's moving operand starts at mb + j*mjs *)
+  mjs : int;
+  mks : int;
+  nk_eff : int;
+  tail : int;  (* masked-out zero adds after the real products *)
+}
+
+(* accumulator start value of chain j *)
+let[@inline] cell_init b j dj =
+  match b.st.init_k with
+  | I_const c -> c
+  | I_cell -> Array.unsafe_get b.darr dj
+  | I_expr f ->
+      Array.unsafe_set b.fr.ints b.st.slot j;
+      f b.fr
+
+(* store chain j's finished value, then run its epilogue *)
+let[@inline] cell_store b j dj v =
+  let v = if b.tail > 0 then fix_tail v else v in
+  match b.st.epi_k with
+  | E_none -> Array.unsafe_set b.darr dj v
+  | E_scale c -> Array.unsafe_set b.darr dj (v *. c)
+  | E_store f ->
+      Array.unsafe_set b.darr dj v;
+      Array.unsafe_set b.fr.ints b.st.slot j;
+      f b.fr
+
+let check_cells b lo cnt =
+  let dlo = b.db + (lo * b.dstep) in
+  check_lin ~what:"reduce_store" ~name:b.st.dname b.darr dlo (dlo + ((cnt - 1) * b.dstep))
+
+(* zero chains for cells [lo, hi): no operand access, no operand checks *)
+let nest_zeros b lo hi =
+  if lo < hi then begin
+    check_cells b lo (hi - lo);
+    for j = lo to hi - 1 do
+      let dj = b.db + (j * b.dstep) in
+      cell_store b j dj (fix_tail (cell_init b j dj))
+    done
+  end
+
+(* dot chains for cells [lo, hi): tiles of four, then single chains *)
+let nest_dots b lo hi =
+  let cnt = hi - lo in
+  if cnt > 0 then begin
+    check_cells b lo cnt;
+    let nk = b.nk_eff in
+    if nk > 0 then begin
+      check_lin ~what:"load" ~name:b.st.sname b.sarr b.s0 (b.s0 + ((nk - 1) * b.ss));
+      let mlo = b.mb + (lo * b.mjs) in
+      let jspan = (cnt - 1) * b.mjs and kspan = (nk - 1) * b.mks in
+      check_lin ~what:"load" ~name:b.st.mname b.marr
+        (mlo + Int.min 0 jspan + Int.min 0 kspan)
+        (mlo + Int.max 0 jspan + Int.max 0 kspan)
+    end;
+    let acc = { Microkernel.x0 = 0.0; x1 = 0.0; x2 = 0.0; x3 = 0.0 } in
+    let j = ref lo in
+    while !j + 3 < hi do
+      let j0 = !j in
+      let dj = b.db + (j0 * b.dstep) in
+      let dj1 = dj + b.dstep in
+      let dj2 = dj1 + b.dstep in
+      let dj3 = dj2 + b.dstep in
+      acc.x0 <- cell_init b j0 dj;
+      acc.x1 <- cell_init b (j0 + 1) dj1;
+      acc.x2 <- cell_init b (j0 + 2) dj2;
+      acc.x3 <- cell_init b (j0 + 3) dj3;
+      let m0 = b.mb + (j0 * b.mjs) in
+      if b.st.shared_left then
+        Microkernel.tile4_dot_sum_shared_left ~s:b.sarr ~s0:b.s0 ~ss:b.ss ~m:b.marr ~m0
+          ~mjs:b.mjs ~mks:b.mks ~n:nk acc
+      else
+        Microkernel.tile4_dot_sum_shared_right ~s:b.sarr ~s0:b.s0 ~ss:b.ss ~m:b.marr ~m0
+          ~mjs:b.mjs ~mks:b.mks ~n:nk acc;
+      cell_store b j0 dj acc.Microkernel.x0;
+      cell_store b (j0 + 1) dj1 acc.Microkernel.x1;
+      cell_store b (j0 + 2) dj2 acc.Microkernel.x2;
+      cell_store b (j0 + 3) dj3 acc.Microkernel.x3;
+      j := j0 + 4
+    done;
+    while !j < hi do
+      let j0 = !j in
+      let dj = b.db + (j0 * b.dstep) in
+      let init = cell_init b j0 dj in
+      let mj = b.mb + (j0 * b.mjs) in
+      cell_store b j0 dj
+        (if b.st.shared_left then
+           Microkernel.dot_sum_strided ~a:b.sarr ~a0:b.s0 ~astep:b.ss ~b:b.marr ~b0:mj
+             ~bstep:b.mks ~n:nk ~init
+         else
+           Microkernel.dot_sum_strided ~a:b.marr ~a0:mj ~astep:b.mks ~b:b.sarr ~b0:b.s0
+             ~bstep:b.ss ~n:nk ~init);
+      j := j0 + 1
+    done
+  end
 
 let emit_nest ctx ~slot (nest : Optimize.nest) :
     (frame -> int -> int -> unit) -> frame -> int -> int -> unit =
@@ -923,39 +1151,40 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
       let dslot = buf_slot ctx dst
       and sslot = buf_slot ctx shared
       and mslot = buf_slot ctx moving in
-      let dname = Var.mangled dst
-      and sname = Var.mangled shared
-      and mname = Var.mangled moving in
       let fdb, fds = compile_affine ctx dst_ix in
       let fkm = as_int (compile_expr ctx kmin) in
       let fkn = as_int (compile_expr ctx kext) in
       let fsb, fss = compile_affine ctx shared_ix in
       let fmjb, fmjs = compile_affine ctx moving_jbase in
       let fmks = as_int (compile_expr ctx moving_kstride) in
-      let fguard = Option.map (fun c -> as_bool (compile_expr ctx c)) guard in
-      let fvmask = Option.map (fun c -> as_bool (compile_expr ctx c)) vmask in
+      let guard_c = Array.of_list (List.map (compile_cond ctx) guard) in
+      let vmask_c = Array.of_list (List.map (compile_cond ctx) vmask) in
       let fkbound = Option.map (fun e -> as_int (compile_expr ctx e)) kbound in
-      let finit = Option.map (fun e -> as_float (compile_expr ctx e)) init in
-      (* the epilogue compiles like the generic [Store] (same bounds-check
-         message); it is run with the tile var's slot set, once per
-         completed chain *)
-      let fepi =
-        Option.map
-          (fun s ->
-            match s with
-            | Stmt.Store { buf; index; value } ->
-                let bslot = buf_slot ctx buf in
-                let bname = Var.mangled buf in
-                let fi = as_int (compile_expr ctx index) in
-                let fv = as_float (compile_expr ctx value) in
-                fun fr ->
-                  let a = Array.unsafe_get fr.fbufs bslot in
-                  let i = fi fr in
-                  if i < 0 || i >= Array.length a then
-                    err "store %s[%d] out of bounds (len %d)" bname i (Array.length a)
-                  else Array.unsafe_set a i (fv fr)
-            | _ -> err "nest epilogue must be a store")
-          epi
+      let init_k =
+        match init with
+        | None -> I_cell
+        | Some (Expr.Float c) -> I_const c
+        | Some e -> I_expr (as_float (compile_expr ctx e))
+      in
+      (* an [Epi_store] compiles like the generic [Store] (same
+         bounds-check message) *)
+      let epi_k =
+        match epi with
+        | None -> E_none
+        | Some (Optimize.Epi_scale c) -> E_scale c
+        | Some (Optimize.Epi_store (Stmt.Store { buf; index; value })) ->
+            let bslot = buf_slot ctx buf in
+            let bname = Var.mangled buf in
+            let fi = as_int (compile_expr ctx index) in
+            let fv = as_float (compile_expr ctx value) in
+            E_store
+              (fun fr ->
+                let a = Array.unsafe_get fr.fbufs bslot in
+                let i = fi fr in
+                if i < 0 || i >= Array.length a then
+                  err "store %s[%d] out of bounds (len %d)" bname i (Array.length a)
+                else Array.unsafe_set a i (fv fr))
+        | Some (Optimize.Epi_store _) -> err "nest epilogue must be a store"
       in
       (* buffers the init / epilogue read: if any is bound to the same
          array as the destination at runtime, fall back *)
@@ -963,315 +1192,92 @@ let emit_nest ctx ~slot (nest : Optimize.nest) :
         Array.of_list
           (List.sort_uniq compare (List.map (buf_slot ctx) (init_bufs @ epi_bufs)))
       in
+      let st =
+        { slot; init_k; epi_k; shared_left; dname = Var.mangled dst;
+          sname = Var.mangled shared; mname = Var.mangled moving }
+      in
       note_variant
-        (if Option.is_some fvmask || Option.is_some fkbound then "dot.tile4_masked"
-         else "dot.tile4");
-      let tile4 =
-        if shared_left then Microkernel.tile4_dot_sum_shared_left
-        else Microkernel.tile4_dot_sum_shared_right
-      in
-      (* lean runtime path for the plain nest (no mask, no epilogue, init
-         a literal or absent — the gemm shape): no per-chain closure
-         dispatch, no slot writes inside the tile, the accumulator start
-         is a compile-time constant.  The feature-bearing shapes take the
-         general path below. *)
-      let plain_init =
-        match init with
-        | None -> Some None
-        | Some (Expr.Float c) -> Some (Some c)
-        | Some _ -> None
-      in
-      match (fvmask, fkbound, fepi, plain_init) with
-      | None, None, None, Some pinit ->
-          let has_init = Option.is_some pinit in
-          let initc = match pinit with Some c -> c | None -> 0.0 in
-          fun fallback fr m n ->
-            let darr = Array.unsafe_get fr.fbufs dslot in
-            let sarr = Array.unsafe_get fr.fbufs sslot in
-            let marr = Array.unsafe_get fr.fbufs mslot in
-            let nk = fkn fr in
-            if nk <= 0 || darr == sarr || darr == marr then fall_back fallback fr m n
-            else begin
-              let dstep = fds fr in
-              if dstep = 0 then fall_back fallback fr m n
-              else begin
-                let mk = fkm fr in
-                (* absolute-index bases: cell j lives at db + j*dstep *)
-                let db = fdb fr in
-                let ss = fss fr in
-                let s0 = fsb fr + (mk * ss) in
-                let mks = fmks fr in
-                let mjs = fmjs fr in
-                let mb = fmjb fr + (mk * mks) in
-                let checked_shared = ref false in
-                (* endpoint checks for the span [jlo, jlo+cnt); the shared
-                   operand's j-invariant range is checked once, at the
-                   first processed span (guard-false blocks touch
-                   nothing) *)
-                let span_check jlo cnt =
-                  let dlo = db + (jlo * dstep) in
-                  check_lin ~what:"reduce_store" ~name:dname darr dlo
-                    (dlo + ((cnt - 1) * dstep));
-                  if not !checked_shared then begin
-                    check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((nk - 1) * ss));
-                    checked_shared := true
-                  end;
-                  let mlo = mb + (jlo * mjs) in
-                  let jspan = (cnt - 1) * mjs and kspan = (nk - 1) * mks in
-                  check_lin ~what:"load" ~name:mname marr
-                    (mlo + min 0 jspan + min 0 kspan)
-                    (mlo + max 0 jspan + max 0 kspan)
-                in
-                let tile j =
-                  span_check j 4;
-                  let dj = db + (j * dstep) in
-                  let acc =
-                    if has_init then
-                      { Microkernel.x0 = initc; x1 = initc; x2 = initc; x3 = initc }
-                    else
-                      {
-                        Microkernel.x0 = Array.unsafe_get darr dj;
-                        x1 = Array.unsafe_get darr (dj + dstep);
-                        x2 = Array.unsafe_get darr (dj + (2 * dstep));
-                        x3 = Array.unsafe_get darr (dj + (3 * dstep));
-                      }
-                  in
-                  tile4 ~s:sarr ~s0 ~ss ~m:marr ~m0:(mb + (j * mjs)) ~mjs ~mks ~n:nk acc;
-                  Array.unsafe_set darr dj acc.Microkernel.x0;
-                  Array.unsafe_set darr (dj + dstep) acc.Microkernel.x1;
-                  Array.unsafe_set darr (dj + (2 * dstep)) acc.Microkernel.x2;
-                  Array.unsafe_set darr (dj + (3 * dstep)) acc.Microkernel.x3
-                in
-                let single j =
-                  span_check j 1;
-                  let dj = db + (j * dstep) in
-                  let iv = if has_init then initc else Array.unsafe_get darr dj in
-                  let mj = mb + (j * mjs) in
-                  let v =
-                    if shared_left then
-                      Microkernel.dot_sum_strided ~a:sarr ~a0:s0 ~astep:ss ~b:marr
-                        ~b0:mj ~bstep:mks ~n:nk ~init:iv
-                    else
-                      Microkernel.dot_sum_strided ~a:marr ~a0:mj ~astep:mks ~b:sarr
-                        ~b0:s0 ~bstep:ss ~n:nk ~init:iv
-                  in
-                  Array.unsafe_set darr dj v
-                in
-                let jend = m + n in
-                match fguard with
-                | None ->
-                    let j = ref m in
-                    while !j + 3 < jend do
-                      tile !j;
-                      j := !j + 4
-                    done;
-                    while !j < jend do
-                      single !j;
-                      incr j
-                    done
-                | Some fg ->
-                    (* evaluate the guard exactly once per j, with the tile
-                       var's slot set, like the generic If *)
-                    let test j =
-                      Array.unsafe_set fr.ints slot j;
-                      fg fr
-                    in
-                    let j = ref m in
-                    while !j < jend do
-                      if not (test !j) then incr j
-                      else begin
-                        (* extend the guard-true run to at most four *)
-                        let run = ref 1 in
-                        let hit_false = ref false in
-                        while (not !hit_false) && !run < 4 && !j + !run < jend do
-                          if test (!j + !run) then incr run else hit_false := true
-                        done;
-                        if !run = 4 then tile !j
-                        else
-                          for o = 0 to !run - 1 do
-                            single (!j + o)
-                          done;
-                        j := !j + !run + if !hit_false then 1 else 0
-                      end
-                    done
-              end
-            end
-      | _ ->
+        (if guard = [] && vmask = [] && kbound = None && epi = None then "dot.tile4"
+         else "dot.tile4_split");
       fun fallback fr m n ->
         let darr = Array.unsafe_get fr.fbufs dslot in
         let sarr = Array.unsafe_get fr.fbufs sslot in
         let marr = Array.unsafe_get fr.fbufs mslot in
         let nk = fkn fr in
-        if
-          nk <= 0 || darr == sarr || darr == marr
-          || Array.exists (fun s -> Array.unsafe_get fr.fbufs s == darr) extra_slots
-        then fall_back fallback fr m n
+        if nk <= 0 || darr == sarr || darr == marr || aliases fr darr extra_slots 0 then
+          fall_back fallback fr m n
         else begin
           let dstep = fds fr in
           if dstep = 0 then fall_back fallback fr m n
           else begin
-            let mk = fkm fr in
-            (* absolute-index bases: cell j lives at db + j*dstep *)
-            let db = fdb fr in
-            let ss = fss fr in
-            let s0 = fsb fr + (mk * ss) in
-            let mks = fmks fr in
-            let mjs = fmjs fr in
-            let mb = fmjb fr + (mk * mks) in
-            (* effective reduction length under a [k < bound] mask: real
-               products stop there, the remaining [tail] adds are zeros *)
-            let nk_eff =
-              match fkbound with
-              | None -> nk
-              | Some fb ->
-                  let e = fb fr - mk in
-                  if e < 0 then 0 else if e > nk then nk else e
-            in
-            let tail = nk - nk_eff in
-            (* acc +. (+0.) == acc except -0. +. +0. == +0. — applying
-               this once replays a whole tail of masked-out adds *)
-            let fix_tail v =
-              if Int64.equal (Int64.bits_of_float v) neg_zero_bits then 0.0 else v
-            in
-            let store_cell dj v =
-              Array.unsafe_set darr dj (if tail > 0 then fix_tail v else v)
-            in
-            let checked_shared = ref false in
-            (* endpoint checks for the span [jlo, jlo+cnt); the shared
-               operand's j-invariant range is checked once, at the first
-               span that actually loads operands *)
-            let span_check jlo cnt =
-              let dlo = db + (jlo * dstep) in
-              check_lin ~what:"reduce_store" ~name:dname darr dlo
-                (dlo + ((cnt - 1) * dstep));
-              if nk_eff > 0 then begin
-                if not !checked_shared then begin
-                  check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((nk_eff - 1) * ss));
-                  checked_shared := true
-                end;
-                let mlo = mb + (jlo * mjs) in
-                let jspan = (cnt - 1) * mjs and kspan = (nk_eff - 1) * mks in
-                check_lin ~what:"load" ~name:mname marr
-                  (mlo + min 0 jspan + min 0 kspan)
-                  (mlo + max 0 jspan + max 0 kspan)
-              end
-            in
-            (* accumulator start value for chain j; [slot] must already
-               hold j (the init expression may read a bias row at j) *)
-            let init_of dj =
-              match finit with
-              | Some f -> f fr
-              | None -> Array.unsafe_get darr dj
-            in
-            let run_epi j =
-              match fepi with
-              | None -> ()
-              | Some f ->
-                  Array.unsafe_set fr.ints slot j;
-                  f fr
-            in
-            (* chain whose mask is false for every k: init plus nk zero
-               adds — no operand access, no operand checks *)
-            let zero j =
-              let dj = db + (j * dstep) in
-              check_lin ~what:"reduce_store" ~name:dname darr dj dj;
-              Array.unsafe_set fr.ints slot j;
-              Array.unsafe_set darr dj (fix_tail (init_of dj));
-              (* the generic nest runs the epilogue store even when the
-                 mask was false for every k — so must we *)
-              run_epi j
-            in
-            let tile j =
-              span_check j 4;
-              let dj = db + (j * dstep) in
-              Array.unsafe_set fr.ints slot j;
-              let x0 = init_of dj in
-              Array.unsafe_set fr.ints slot (j + 1);
-              let x1 = init_of (dj + dstep) in
-              Array.unsafe_set fr.ints slot (j + 2);
-              let x2 = init_of (dj + (2 * dstep)) in
-              Array.unsafe_set fr.ints slot (j + 3);
-              let x3 = init_of (dj + (3 * dstep)) in
-              let acc = { Microkernel.x0; x1; x2; x3 } in
-              tile4 ~s:sarr ~s0 ~ss ~m:marr ~m0:(mb + (j * mjs)) ~mjs ~mks ~n:nk_eff acc;
-              store_cell dj acc.Microkernel.x0;
-              store_cell (dj + dstep) acc.Microkernel.x1;
-              store_cell (dj + (2 * dstep)) acc.Microkernel.x2;
-              store_cell (dj + (3 * dstep)) acc.Microkernel.x3;
-              run_epi j;
-              run_epi (j + 1);
-              run_epi (j + 2);
-              run_epi (j + 3)
-            in
-            let single j =
-              span_check j 1;
-              let dj = db + (j * dstep) in
-              Array.unsafe_set fr.ints slot j;
-              let iv = init_of dj in
-              let mj = mb + (j * mjs) in
-              let v =
-                if shared_left then
-                  Microkernel.dot_sum_strided ~a:sarr ~a0:s0 ~astep:ss ~b:marr ~b0:mj
-                    ~bstep:mks ~n:nk_eff ~init:iv
-                else
-                  Microkernel.dot_sum_strided ~a:marr ~a0:mj ~astep:mks ~b:sarr ~b0:s0
-                    ~bstep:ss ~n:nk_eff ~init:iv
+            let ghi = narrow guard_c fr m (m + n) in
+            if m < ghi then begin
+              let mk = fkm fr in
+              let ss = fss fr in
+              let mks = fmks fr in
+              (* effective reduction length under a [k < bound] mask *)
+              let nk_eff =
+                match fkbound with
+                | None -> nk
+                | Some fb ->
+                    let e = fb fr - mk in
+                    if e < 0 then 0 else if e > nk then nk else e
               in
-              store_cell dj v;
-              run_epi j
-            in
-            let jend = m + n in
-            match (fguard, fvmask) with
-            | None, None ->
-                let j = ref m in
-                while !j + 3 < jend do
-                  tile !j;
-                  j := !j + 4
-                done;
-                while !j < jend do
-                  single !j;
-                  incr j
-                done
-            | _ ->
-                (* three states per j — skip (guard false), zero-chain
-                   (mask false), dot — each guard / mask evaluated exactly
-                   once, with the tile var's slot set *)
-                let st j =
-                  Array.unsafe_set fr.ints slot j;
-                  let g = match fguard with None -> true | Some fg -> fg fr in
-                  if not g then 0
-                  else
-                    match fvmask with
-                    | None -> 2
-                    | Some fv -> if fv fr then 2 else 1
-                in
-                let j = ref m in
-                while !j < jend do
-                  match st !j with
-                  | 0 -> incr j
-                  | 1 ->
-                      zero !j;
-                      incr j
-                  | _ ->
-                      (* extend the dot run to at most four; a non-dot
-                         state already evaluated is dispatched after *)
-                      let run = ref 1 in
-                      let next = ref (-1) in
-                      while !next < 0 && !run < 4 && !j + !run < jend do
-                        match st (!j + !run) with
-                        | 2 -> incr run
-                        | s -> next := s
-                      done;
-                      if !run = 4 then tile !j
-                      else
-                        for o = 0 to !run - 1 do
-                          single (!j + o)
-                        done;
-                      if !next = 1 then zero (!j + !run);
-                      j := !j + !run + if !next >= 0 then 1 else 0
-                done
+              let b =
+                { st; fr; darr; db = fdb fr; dstep; sarr; s0 = fsb fr + (mk * ss); ss; marr;
+                  mb = fmjb fr + (mk * mks); mjs = fmjs fr; mks; nk_eff; tail = nk - nk_eff }
+              in
+              let vhi = Int.max m (narrow vmask_c fr m ghi) in
+              nest_dots b m vhi;
+              nest_zeros b vhi ghi
+            end
           end
         end
+
+(* [emit_softmax_row ctx sm fallback] runs one classified softmax row
+   (opt >= 3) as Microkernel.softmax_row: one pass for the max, one
+   computing each exp once, one dividing, then the zero-fill.  The
+   destination row doubles as the exp cache, so the row needs no
+   scratch and makes no arena acquire.
+   Endpoint bounds checks once per row, load range first as in the
+   generic copy loop.  Falls back to the generic four loops (through
+   [fallback], the compiled [Alloc]) when the destination array is the
+   source (the cache would overwrite inputs), when its stride is zero,
+   or when the column counts are outside the shape the kernel
+   reproduces: [0 <= cols <= row_size] and [cols <= cols_padded]. *)
+let emit_softmax_row ctx (sm : Optimize.softmax_row) (fallback : frame -> unit) :
+    frame -> unit =
+  let { Optimize.row_size; cols; cols_padded; src; src_ix; dst; dst_ix; max_init; den_init; fill } =
+    sm
+  in
+  let sslot = buf_slot ctx src and dslot = buf_slot ctx dst in
+  let sname = Var.mangled src and dname = Var.mangled dst in
+  let fsize = as_int (compile_expr ctx row_size) in
+  let fcols = as_int (compile_expr ctx cols) in
+  let fpad = as_int (compile_expr ctx cols_padded) in
+  let fsb, fss = compile_affine ctx src_ix in
+  let fdb, fds = compile_affine ctx dst_ix in
+  note_variant "softmax.row";
+  fun fr ->
+    let sarr = Array.unsafe_get fr.fbufs sslot in
+    let darr = Array.unsafe_get fr.fbufs dslot in
+    let size = fsize fr in
+    let cols = fcols fr in
+    let npad = fpad fr in
+    let dstep = fds fr in
+    if sarr == darr || dstep = 0 || cols < 0 || cols > size || npad < cols then begin
+      Obs.Metrics.incr mk_fallback_c;
+      fallback fr
+    end
+    else begin
+      let sstep = fss fr in
+      let s0 = fsb fr in
+      let d0 = fdb fr in
+      if cols > 0 then check_lin ~what:"load" ~name:sname sarr s0 (s0 + ((cols - 1) * sstep));
+      if npad > 0 then check_lin ~what:"store" ~name:dname darr d0 (d0 + ((npad - 1) * dstep));
+      Microkernel.softmax_row ~src:sarr ~s0 ~sstep ~dst:darr ~d0 ~dstep ~n:cols ~npad
+        ~max_init ~den_init ~fill
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Per-iteration weight estimator for parallel chunk balancing: static
@@ -1531,7 +1537,7 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
             for i = 0 to n - 1 do
               (Array.unsafe_get arr i) fr
             done)
-  | Alloc { buf = v; size; body } ->
+  | Alloc { buf = v; size; body } -> (
       let fn = as_int (compile_expr ctx size) in
       let slot = buf_slot ~internal:true ctx v in
       let cbody = compile_stmt ctx ~par_ok:false body in
@@ -1545,7 +1551,7 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
          Zero-fill and the negative-size error are exactly those of the
          [Array.make n 0.0] this replaces; a correct kernel never
          addresses the class-rounding tail. *)
-      fun fr ->
+      let generic fr =
         let n = fn fr in
         let a = Buffer.Arena.acquire_class Buffer.Arena.global n in
         Array.unsafe_set fr.fbufs slot a;
@@ -1558,6 +1564,10 @@ let rec compile_stmt ctx ~par_ok (s : Stmt.t) : frame -> unit =
            release ();
            raise e);
         release ()
+      in
+      match if ctx.opt >= 3 then Optimize.classify_softmax_row s else None with
+      | Some sm -> emit_softmax_row ctx sm generic
+      | None -> generic)
   | Eval e -> (
       match compile_expr ctx e with
       | CInt f -> fun fr -> ignore (f fr)

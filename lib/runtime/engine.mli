@@ -29,17 +29,23 @@
     - [O3]: the microkernel {e body} is selected from the {!Microkernel}
       registry when the closure is built — {!Ir.Optimize.classify_stride}
       picks unit-stride unrolled / [Array.blit] variants over strided
-      fallbacks, and {!Ir.Optimize.classify_nest} register-tiles a
+      fallbacks, {!Ir.Optimize.classify_nest} register-tiles a
       two-deep sum-dot nest (four destination chains per pass, the shared
-      operand loaded once per reduction step).  Selection is per compiled
-      loop, never per call ([engine.mk_variant.*] counters record it);
-      every variant keeps one order-preserving accumulator chain per
-      destination element, so outputs remain bitwise-identical.
+      operand loaded once per reduction step; guard and mask conjuncts
+      evaluated once per block, which splits it into unguarded tiles and
+      operand-free zero chains), and {!Ir.Optimize.classify_softmax_row}
+      runs a softmax row as one fused kernel computing each [exp] once.
+      Selection is per compiled loop, never per call
+      ([engine.mk_variant.*] counters record it); every variant keeps one
+      order-preserving accumulator chain per destination element, so
+      outputs remain bitwise-identical.  At [O1] and above, integer
+      expressions linear in int variables compile to one closure.
 
     The engine's one runtime signal is the [engine.mk_fallback] counter:
     microkernel blocks that took the generic loop at runtime because the
     destination aliased an input, the destination stride was zero or the
-    reduction ran zero iterations.
+    reduction ran zero iterations, and softmax rows whose destination is
+    their source.
 
     [Alloc] scratch buffers come from {!Buffer.Arena.global} and return
     to it when the body finishes, so steady-state reruns allocate no

@@ -89,32 +89,44 @@ let dot_strided ~combine ~a ~a0 ~astep ~b ~b0 ~bstep ~n ~init =
 let tile4_dot_sum_shared_left ~s ~s0 ~ss ~m ~m0 ~mjs ~mks ~n (acc : acc4) =
   let mjs2 = mjs + mjs in
   let mjs3 = mjs2 + mjs in
+  (* local float refs stay in registers across the loop *)
+  let x0 = ref acc.x0 and x1 = ref acc.x1 and x2 = ref acc.x2 and x3 = ref acc.x3 in
   let si = ref s0 and mi = ref m0 in
   for _ = 1 to n do
     let sv = Array.unsafe_get s !si in
     let r = !mi in
-    acc.x0 <- acc.x0 +. (sv *. Array.unsafe_get m r);
-    acc.x1 <- acc.x1 +. (sv *. Array.unsafe_get m (r + mjs));
-    acc.x2 <- acc.x2 +. (sv *. Array.unsafe_get m (r + mjs2));
-    acc.x3 <- acc.x3 +. (sv *. Array.unsafe_get m (r + mjs3));
+    x0 := !x0 +. (sv *. Array.unsafe_get m r);
+    x1 := !x1 +. (sv *. Array.unsafe_get m (r + mjs));
+    x2 := !x2 +. (sv *. Array.unsafe_get m (r + mjs2));
+    x3 := !x3 +. (sv *. Array.unsafe_get m (r + mjs3));
     si := !si + ss;
     mi := r + mks
-  done
+  done;
+  acc.x0 <- !x0;
+  acc.x1 <- !x1;
+  acc.x2 <- !x2;
+  acc.x3 <- !x3
 
 let tile4_dot_sum_shared_right ~s ~s0 ~ss ~m ~m0 ~mjs ~mks ~n (acc : acc4) =
   let mjs2 = mjs + mjs in
   let mjs3 = mjs2 + mjs in
+  (* local float refs stay in registers across the loop *)
+  let x0 = ref acc.x0 and x1 = ref acc.x1 and x2 = ref acc.x2 and x3 = ref acc.x3 in
   let si = ref s0 and mi = ref m0 in
   for _ = 1 to n do
     let sv = Array.unsafe_get s !si in
     let r = !mi in
-    acc.x0 <- acc.x0 +. (Array.unsafe_get m r *. sv);
-    acc.x1 <- acc.x1 +. (Array.unsafe_get m (r + mjs) *. sv);
-    acc.x2 <- acc.x2 +. (Array.unsafe_get m (r + mjs2) *. sv);
-    acc.x3 <- acc.x3 +. (Array.unsafe_get m (r + mjs3) *. sv);
+    x0 := !x0 +. (Array.unsafe_get m r *. sv);
+    x1 := !x1 +. (Array.unsafe_get m (r + mjs) *. sv);
+    x2 := !x2 +. (Array.unsafe_get m (r + mjs2) *. sv);
+    x3 := !x3 +. (Array.unsafe_get m (r + mjs3) *. sv);
     si := !si + ss;
     mi := r + mks
-  done
+  done;
+  acc.x0 <- !x0;
+  acc.x1 <- !x1;
+  acc.x2 <- !x2;
+  acc.x3 <- !x3
 
 (* ------------------------------------------------------------------ *)
 (* Reduce1: dst op= src[..] over one chain *)
@@ -198,4 +210,43 @@ let scale_strided ~dst ~d0 ~dstep ~src ~s0 ~sstep ~factor ~n =
     Array.unsafe_set dst !di (Array.unsafe_get src !si *. factor);
     di := !di + dstep;
     si := !si + sstep
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Softmax row.  The generic row stages the source into scratch, takes
+   the max, sums exp(x - max), then stores select(c < n, exp(x_c - max)
+   / den, fill) — computing every exp twice.  Here each exp is computed
+   once and cached in the destination row, which is overwritten with
+   the quotient afterwards; exp is deterministic, and the max combines
+   as [Float.max cur x] and the sum as [cur +. e] in column order,
+   exactly as the generic reductions do, so the result is bitwise the
+   same.  Requires dst != src. *)
+
+let softmax_row ~src ~s0 ~sstep ~dst ~d0 ~dstep ~n ~npad ~max_init ~den_init ~fill =
+  let c = { v = max_init } in
+  let si = ref s0 in
+  for _ = 1 to n do
+    c.v <- Float.max c.v (Array.unsafe_get src !si);
+    si := !si + sstep
+  done;
+  let mx = c.v in
+  c.v <- den_init;
+  si := s0;
+  let di = ref d0 in
+  for _ = 1 to n do
+    let e = exp (Array.unsafe_get src !si -. mx) in
+    Array.unsafe_set dst !di e;
+    c.v <- c.v +. e;
+    si := !si + sstep;
+    di := !di + dstep
+  done;
+  let den = c.v in
+  di := d0;
+  for _ = 1 to n do
+    Array.unsafe_set dst !di (Array.unsafe_get dst !di /. den);
+    di := !di + dstep
+  done;
+  for _ = n + 1 to npad do
+    Array.unsafe_set dst !di fill;
+    di := !di + dstep
   done

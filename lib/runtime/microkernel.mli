@@ -136,3 +136,24 @@ val scale_strided :
   factor:float ->
   n:int ->
   unit
+
+(** Fused softmax row over [n] source elements [src.(s0 + c*sstep)]:
+    [mx = fold Float.max max_init x], [den = fold (+.) den_init e_c] with
+    [e_c = exp (x_c -. mx)] computed once and cached in
+    [dst.(d0 + c*dstep)], then [dst] holds [e_c /. den] for [c < n] and
+    [fill] for [n <= c < npad].  Bitwise equal to the generic four-loop
+    row (which computes every exp twice).  {b Requires dst != src} and
+    [dstep <> 0]. *)
+val softmax_row :
+  src:float array ->
+  s0:int ->
+  sstep:int ->
+  dst:float array ->
+  d0:int ->
+  dstep:int ->
+  n:int ->
+  npad:int ->
+  max_init:float ->
+  den_init:float ->
+  fill:float ->
+  unit

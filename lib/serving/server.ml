@@ -167,6 +167,14 @@ let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
     | Some r -> Ragged.unpack r
     | None -> invalid_arg ("serving: no tensor named " ^ job.Workload.out_name)
   in
+  (* An output over 256 words (Max_young_wosize) is allocated straight
+     into the major heap, whose collection OCaml paces by allocation
+     relative to heap size.  The arena's long-lived tensor buffers
+     dominate that heap, so a cycle spans ~150 encoder requests and the
+     dead outputs pile up meanwhile (+0.15 MB per request).  Paying back
+     4 words of major-GC work per output word reclaims them about as fast
+     as requests make them. *)
+  if Array.length out > 256 then ignore (Gc.major_slice (4 * Array.length out));
   let stats =
     {
       x_engine_hits = estats.Exec.hits;

@@ -351,13 +351,13 @@ let run_tiled opt =
    without a runtime fallback, and agree with O0 bitwise (including the
    all-zero-chain epilogue and the untouched guard-false cell). *)
 let test_o3_tiled_nest () =
-  let before = mk_variant "dot.tile4_masked" in
+  let before = mk_variant "dot.tile4_split" in
   let o0 = run_tiled Ir.Optimize.O0 in
   let o2 = run_tiled Ir.Optimize.O2 in
   let fb_before = mk_fallback () in
   let o3 = run_tiled Ir.Optimize.O3 in
-  Alcotest.(check bool) "tile4_masked variant bound" true
-    (mk_variant "dot.tile4_masked" > before);
+  Alcotest.(check bool) "tile4_split variant bound" true
+    (mk_variant "dot.tile4_split" > before);
   Alcotest.(check int) "O3 tiles without falling back" fb_before (mk_fallback ());
   Alcotest.(check bool) "O0 = O2 bitwise" true (bits o2 = bits o0);
   Alcotest.(check bool) "O0 = O3 bitwise" true (bits o3 = bits o0)
@@ -505,6 +505,255 @@ let test_o3_divmod_elim () =
   Alcotest.(check bool) "O0 = O3 bitwise" true (bits o3 = bits o0)
 
 (* ------------------------------------------------------------------ *)
+(* O3 operation splitting and the fused softmax row: differential checks
+   against the interpreter (the bitwise oracle) and the compiled O0 engine,
+   with row lengths that leave partial tiles, fully masked rows, and
+   -0. / +-inf / NaN inputs. *)
+
+let specials = [| -0.0; infinity; neg_infinity; nan |]
+
+(* A hand-built nest carrying every conjunct kind the classifier sorts:
+
+     for i < nrows:
+       for j < jp:                                          (tile var)
+         if (j + i < 10):                                   limit
+           C[i*jp + j] = -0.
+           for k < nk:
+             C[i*jp+j] += (i < live && j < len(i) && k < kb(i))
+                          ? A[i*nk+k] * B[j*nk+k] : 0.
+           C[i*jp+j] = C[i*jp+j] * 0.5
+
+   [i < live] is row-invariant (row [live] is fully masked), [j < len(i)]
+   an affine limit over lengths 1, 3, 4, 5, 7 and 0, so the dot range
+   ends in a partial tile; the guard leaves the last cells of the late
+   rows untouched.  Rows 1 and 3 have all -0. products:
+   [kb(1) = nk] keeps row 1's chains -0. through the folded scale, while
+   [kb(i) = nk-1] elsewhere leaves a one-add zero tail, so row 3's must
+   come out +0.; row 2 carries +-inf and NaN operands. *)
+let split_lens = [| 1; 3; 4; 5; 7; 0; 6 |]
+let split_rows = Array.length split_lens
+let split_live = split_rows - 1
+let split_jp = 8
+let split_nk = 6
+let split_kb = Array.init split_rows (fun i -> if i = 1 then split_nk else split_nk - 1)
+
+let split_nest ?(mask_lim = fun jv lenv -> Ir.Expr.lt jv lenv) (i, j, k, a, b, c) =
+  let open Ir in
+  let iv = Expr.var i and jv = Expr.var j and kv = Expr.var k in
+  let cell = Expr.add (Expr.mul iv (Expr.int split_jp)) jv in
+  let mask =
+    Expr.And
+      ( Expr.And (Expr.lt iv (Expr.int split_live), mask_lim jv (Expr.ufun "len" [ iv ])),
+        Expr.lt kv (Expr.ufun "kb" [ iv ]) )
+  in
+  let prod =
+    Expr.mul
+      (load a (Expr.add (Expr.mul iv (Expr.int split_nk)) kv))
+      (load b (Expr.add (Expr.mul jv (Expr.int split_nk)) kv))
+  in
+  Stmt.For
+    { var = i; min = Expr.zero; extent = Expr.int split_rows; kind = Stmt.Serial;
+      body =
+        Stmt.For
+          { var = j; min = Expr.zero; extent = Expr.int split_jp; kind = Stmt.Serial;
+            body =
+              Stmt.If
+                ( Expr.lt (Expr.add jv iv) (Expr.int 10),
+                  Stmt.Seq
+                    [
+                      Stmt.Store { buf = c; index = cell; value = Expr.float (-0.0) };
+                      Stmt.For
+                        { var = k; min = Expr.zero; extent = Expr.int split_nk;
+                          kind = Stmt.Serial;
+                          body =
+                            Stmt.Reduce_store
+                              { buf = c; index = cell; op = Stmt.Sum;
+                                value = Expr.Select (mask, prod, Expr.float 0.0) } };
+                      Stmt.Store
+                        { buf = c; index = cell; value = Expr.mul (load c cell) (Expr.float 0.5) };
+                    ],
+                  None );
+          };
+    }
+
+let split_inputs () =
+  let fa =
+    Array.init (split_rows * split_nk) (fun x ->
+        let i = x / split_nk and k = x mod split_nk in
+        if i = 1 || i = 3 then -0.0
+        else if i = 2 then specials.(k mod 4)
+        else sin (float_of_int x))
+  in
+  let fb = Array.init (split_jp * split_nk) (fun x -> 0.5 +. float_of_int (x mod 5)) in
+  (fa, fb)
+
+(* run the nest on the interpreter ([None]) or the engine at [opt] *)
+let run_split ?mask_lim opt =
+  let module E = Runtime.Engine in
+  let vars = Ir.Var.(fresh "i", fresh "j", fresh "k", fresh "A", fresh "B", fresh "C") in
+  let _, _, _, a, b, c = vars in
+  let body = split_nest ?mask_lim vars in
+  let fa, fb = split_inputs () in
+  (* untouched cells keep this sentinel *)
+  let fc = Array.make (split_rows * split_jp) 42.0 in
+  let bind f g h =
+    f a (Runtime.Buffer.of_floats fa);
+    f b (Runtime.Buffer.of_floats fb);
+    f c (Runtime.Buffer.of_floats fc);
+    g "len" split_lens;
+    g "kb" split_kb;
+    h ()
+  in
+  (match opt with
+  | None ->
+      let env = Runtime.Interp.create () in
+      bind (Runtime.Interp.bind_buf env) (Runtime.Interp.bind_ufun_array env) (fun () ->
+          Runtime.Interp.exec env body)
+  | Some opt ->
+      let fr = E.frame (E.compile ~opt body) in
+      bind (E.bind_buf fr) (E.bind_ufun_table fr) (fun () -> E.run fr));
+  fc
+
+let test_o3_split_nest () =
+  let oracle = run_split None in
+  let split_before = mk_variant "dot.tile4_split" and fb_before = mk_fallback () in
+  let o3 = run_split (Some Ir.Optimize.O3) in
+  Alcotest.(check bool) "tile4_split variant bound" true (mk_variant "dot.tile4_split" > split_before);
+  Alcotest.(check int) "no runtime fallback" fb_before (mk_fallback ());
+  Alcotest.(check bool) "O0 = interpreter bitwise" true
+    (bits (run_split (Some Ir.Optimize.O0)) = bits oracle);
+  Alcotest.(check bool) "O3 = interpreter bitwise" true (bits o3 = bits oracle);
+  (* the expected special cases actually occur *)
+  Alcotest.(check bool) "guard-skipped cell untouched" true (o3.((4 * split_jp) + 7) = 42.0);
+  Alcotest.(check bool) "-0. chain scaled to -0." true
+    (Int64.bits_of_float o3.((1 * split_jp) + 1) = Int64.bits_of_float (-0.0));
+  Alcotest.(check bool) "-0. chain tail-fixed to +0." true
+    (Int64.bits_of_float o3.((3 * split_jp) + 1) = 0L);
+  Alcotest.(check bool) "NaN propagates" true (Float.is_nan o3.((2 * split_jp) + 1))
+
+(* A conjunct that is neither tile-var invariant nor an affine limit
+   with a positive stride rejects the nest: it runs on the generic loops,
+   still bitwise. *)
+let test_o3_nonaffine_conjunct_not_tiled () =
+  let open Ir.Expr in
+  List.iter
+    (fun (label, mask_lim) ->
+      let i = Ir.Var.fresh "i" and j = Ir.Var.fresh "j" and k = Ir.Var.fresh "k" in
+      let a = Ir.Var.fresh "A" and b = Ir.Var.fresh "B" and c = Ir.Var.fresh "C" in
+      (match split_nest ~mask_lim (i, j, k, a, b, c) with
+      | Ir.Stmt.For { body = Ir.Stmt.For { var; body; _ }; _ } ->
+          Alcotest.(check bool) (label ^ ": not classified") true
+            (Option.is_none (Ir.Optimize.classify_nest ~var body))
+      | _ -> Alcotest.fail "unexpected nest shape");
+      Alcotest.(check bool) (label ^ ": O3 = interpreter bitwise") true
+        (bits (run_split ~mask_lim (Some Ir.Optimize.O3)) = bits (run_split ~mask_lim None)))
+    [
+      ("j*j < len", fun jv lenv -> lt (mul jv jv) lenv);
+      ("len - j < 3", fun jv lenv -> lt (sub lenv jv) (int 3));
+    ]
+
+(* Softmax rows of [Custom.softmax] over descending lengths 7 5 4 3 1
+   (pad 4: rows end in partial tiles and zero-fill), scores seeded with
+   -0., +-inf and NaN, one row all -inf. *)
+let sm_cfg = Transformer.Config.tiny ~lens:[| 7; 5; 4; 3; 1 |]
+
+let score_value idx =
+  match idx with
+  | [ 2; 1; _; _ ] -> neg_infinity
+  | [ b; r; h; c ] ->
+      let x = (b * 101) + (r * 37) + (h * 11) + c in
+      if x mod 9 = 4 then specials.(x / 9 mod 4) else 3.0 *. sin (float_of_int x)
+  | _ -> 0.0
+
+let run_softmax ?col_extent ~alias ~engine opt =
+  Exec.clear_engine_memo ();
+  let scores = Transformer.Masked.square_matrix sm_cfg "SMX" in
+  let probs = if alias then scores else Transformer.Masked.square_matrix sm_cfg "SMXS" in
+  let kernel =
+    Transformer.Custom.softmax ~cfg:sm_cfg ~scores ~probs ~target:Transformer.Custom.Gpu
+      ?col_extent ~name:"SoftmaxT" ()
+  in
+  let lenv = Transformer.Config.lenv sm_cfg in
+  let rs = Ragged.alloc scores lenv in
+  Ragged.fill rs score_value;
+  let tensors = if alias then [ rs ] else [ rs; Ragged.alloc probs lenv ] in
+  ignore (Exec.run_ragged ~engine ~opt ~lenv ~tensors [ kernel ]);
+  Array.copy (Runtime.Buffer.floats (List.nth tensors (List.length tensors - 1)).Ragged.buf)
+
+let test_o3_softmax_row () =
+  List.iter
+    (fun (label, col_extent) ->
+      let oracle = run_softmax ?col_extent ~alias:false ~engine:`Interp Ir.Optimize.O0 in
+      let row_before = mk_variant "softmax.row" and fb_before = mk_fallback () in
+      let o3 = run_softmax ?col_extent ~alias:false ~engine:`Compiled Ir.Optimize.O3 in
+      Alcotest.(check bool) (label ^ ": softmax.row bound") true
+        (mk_variant "softmax.row" > row_before);
+      Alcotest.(check int) (label ^ ": no runtime fallback") fb_before (mk_fallback ());
+      Alcotest.(check bool) (label ^ ": O0 = interpreter bitwise") true
+        (bits (run_softmax ?col_extent ~alias:false ~engine:`Compiled Ir.Optimize.O0)
+        = bits oracle);
+      Alcotest.(check bool) (label ^ ": O3 = interpreter bitwise") true (bits o3 = bits oracle);
+      Alcotest.(check bool) (label ^ ": NaN reached the output") true
+        (Array.exists Float.is_nan o3))
+    [
+      ("full rows", None);
+      (* cols = min(r, seq): row 0 has no live column at all *)
+      ("prefix rows", Some (fun ~row ~seq ~batch:_ -> Ir.Expr.min_ row seq));
+    ]
+
+(* probs == scores: the destination cannot cache exps, so every row takes
+   the generic loops — and stays bitwise equal. *)
+let test_o3_softmax_aliased_falls_back () =
+  let oracle = run_softmax ~alias:true ~engine:`Interp Ir.Optimize.O0 in
+  let fb_before = mk_fallback () in
+  let o3 = run_softmax ~alias:true ~engine:`Compiled Ir.Optimize.O3 in
+  Alcotest.(check bool) "aliased rows fall back" true (mk_fallback () > fb_before);
+  Alcotest.(check bool) "O3 = interpreter bitwise" true (bits o3 = bits oracle)
+
+(* The other attention kernels at O3 against the interpreter: masked
+   attention in both storage variants, and one decode step. *)
+let run_all ~engine ~opt ~lenv ~inputs ~outputs kernels =
+  Exec.clear_engine_memo ();
+  let rs = List.map (fun t -> Ragged.alloc t lenv) (inputs @ outputs) in
+  List.iteri
+    (fun n r ->
+      if n < List.length inputs then
+        Ragged.fill r (fun idx ->
+            sin (float_of_int (List.fold_left (fun acc i -> (acc * 31) + i) (n + 3) idx)) *. 0.6))
+    rs;
+  ignore (Exec.run_ragged ~engine ~opt ~lenv ~tensors:rs kernels);
+  List.map (fun (r : Ragged.t) -> bits (Runtime.Buffer.floats r.Ragged.buf)) rs
+
+let check_attention label ~lenv ~inputs ~outputs kernels =
+  let oracle = run_all ~engine:`Interp ~opt:Ir.Optimize.O0 ~lenv ~inputs ~outputs kernels in
+  let row_before = mk_variant "softmax.row" and split_before = mk_variant "dot.tile4_split" in
+  let fb_before = mk_fallback () in
+  let o3 = run_all ~engine:`Compiled ~opt:Ir.Optimize.O3 ~lenv ~inputs ~outputs kernels in
+  Alcotest.(check bool) (label ^ ": softmax.row bound") true (mk_variant "softmax.row" > row_before);
+  Alcotest.(check bool) (label ^ ": tile4_split bound") true
+    (mk_variant "dot.tile4_split" > split_before);
+  Alcotest.(check int) (label ^ ": no runtime fallback") fb_before (mk_fallback ());
+  Alcotest.(check bool) (label ^ ": O3 = interpreter bitwise") true (o3 = oracle)
+
+let test_o3_masked_attention () =
+  let cfg = Transformer.Config.tiny ~lens:[| 7; 5; 2 |] in
+  List.iter
+    (fun (label, variant) ->
+      let t = Transformer.Masked.build ~variant cfg in
+      check_attention label ~lenv:(Transformer.Masked.lenv cfg) ~inputs:[ t.Transformer.Masked.qkv ]
+        ~outputs:[ t.Transformer.Masked.scores; t.Transformer.Masked.probs; t.Transformer.Masked.attn ]
+        t.Transformer.Masked.kernels)
+    [ ("No_pad", Transformer.Masked.No_pad); ("Pad", Transformer.Masked.Pad) ]
+
+let test_o3_decode_step () =
+  let module D = Transformer.Decoder in
+  let cfg = D.make ~tgt_lens:[| 1; 1; 1 |] ~src_lens:[| 7; 1; 5 |] ~tiny:true () in
+  let d = D.build_decode cfg in
+  check_attention "decode" ~lenv:(D.lenv cfg) ~inputs:[ d.D.dq; d.D.dkv ]
+    ~outputs:[ d.D.dkn; d.D.dscores; d.D.dprobs; d.D.dattn ]
+    d.D.dkernels
+
+(* ------------------------------------------------------------------ *)
 (* Weighted chunk balancing *)
 
 let test_balance_chunks_skewed () =
@@ -606,6 +855,16 @@ let () =
           Alcotest.test_case "dynamic stride selects strided variant" `Quick
             test_o3_dynamic_stride_selects_strided;
           Alcotest.test_case "divmod elimination" `Quick test_o3_divmod_elim;
+          Alcotest.test_case "split nest: tails, masked rows, specials" `Quick
+            test_o3_split_nest;
+          Alcotest.test_case "non-affine conjunct is not tiled" `Quick
+            test_o3_nonaffine_conjunct_not_tiled;
+          Alcotest.test_case "softmax row: tails, empty rows, specials" `Quick
+            test_o3_softmax_row;
+          Alcotest.test_case "aliased softmax row falls back" `Quick
+            test_o3_softmax_aliased_falls_back;
+          Alcotest.test_case "masked attention, both storages" `Quick test_o3_masked_attention;
+          Alcotest.test_case "decode step" `Quick test_o3_decode_step;
         ] );
       ( "chunks",
         [

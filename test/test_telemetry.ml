@@ -127,9 +127,11 @@ let test_batched_scatter () =
   let w = Serving.Workload.fig1 ~batch:4 ~max_len:8 () in
   let srv = Serving.Server.create () in
   let batching =
-    { Serving.Batcher.default_config with max_batch = 4; max_wait_us = 20000.0 }
+    { Serving.Batcher.default_config with max_batch = 4; max_wait_us = 30e6 }
   in
-  (* one worker + a generous window: all 4 requests form one mega-batch *)
+  (* one worker + a window that closes on its 4th member, not on the
+     clock (30 s is only a backstop): all 4 requests form one mega-batch
+     however slowly the submits arrive *)
   let fe = Serving.Frontend.create ~domains:1 ~batching srv in
   let items = [| [| 2; 3 |]; [| 7; 1; 4 |]; [| 5 |]; [| 2; 3 |] |] in
   let tickets = Array.map (fun lens -> Serving.Frontend.submit fe w lens) items in
