@@ -2,7 +2,7 @@
    evaluation (§7, §D).  Run with no arguments for everything, or with a
    list of experiment ids: fig2 fig8 fig9 table4 fig10 fig11 table9 fig24
    fig25 table5 fig18 fig13 fig20 fig21 table6 table7 fig19 memory fig22
-   fig23 autotune engine bechamel.
+   fig23 serve_autotune engine opt o3 bechamel.
 
    Output channels: human-readable tables go to stderr and to
    results/<experiment>.txt; stdout carries one machine-readable JSON line
@@ -621,26 +621,6 @@ let fig23 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-
-let autotune () =
-  header "Grid-search auto-scheduling of QKV projection (paper §6 / future work)";
-  line "%-9s %-6s %-14s %-14s %-14s" "dataset" "batch" "hand schedule" "tuned" "tiles";
-  List.iter
-    (fun (d : Workloads.Datasets.t) ->
-      List.iter
-        (fun bs ->
-          let lens = Workloads.Datasets.sample_sorted d ~batch:bs ~seed in
-          let cfg = Transformer.Config.base ~lens in
-          let r = Transformer.Autotune.tune_qkv ~device:gpu cfg in
-          line "%-9s %-6d %11.3f ms %11.3f ms  f%d x j%d" d.Workloads.Datasets.name bs
-            (r.Transformer.Autotune.default_ns /. 1e6)
-            (r.Transformer.Autotune.best_ns /. 1e6)
-            r.Transformer.Autotune.best.Transformer.Autotune.ftile
-            r.Transformer.Autotune.best.Transformer.Autotune.jtile)
-        [ 32; 128 ])
-    [ Workloads.Datasets.race; Workloads.Datasets.mnli ]
-
-(* ------------------------------------------------------------------ *)
 (* Online schedule autotuner: tuned vs hand over the serving path, per
    workload, on the bench-scale adapters the CLI's bench-stream uses.
    The guarantee checked here is the tuner's contract: summed modeled
@@ -1119,7 +1099,6 @@ let experiments =
     ("memory", memory);
     ("fig22", fig22);
     ("fig23", fig23);
-    ("autotune", autotune);
     ("serve_autotune", serve_autotune);
     ("engine", engine_bench);
     ("opt", opt_bench);

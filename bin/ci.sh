@@ -64,7 +64,9 @@ echo "== cora bench-stream --exec --engine compiled --smoke" >&2
 # Same stream, executed through the compiled closure engine.  --smoke
 # additionally replays the first window through the interpreter and fails
 # on any bitwise output divergence, so this step proves engine parity on
-# the serving path, not just in the unit tests.
+# the serving path, not just in the unit tests.  It also fails when the
+# stream made more engine-memo lookups than distinct shapes x kernels per
+# job: a warm request is one plan lookup and never touches that memo.
 dune exec bin/cora_cli.exe -- bench-stream --exec --engine compiled --smoke \
   > "$tmpdir/stream_compiled.txt"
 
@@ -341,7 +343,7 @@ awk -v n="$entries" 'BEGIN { exit (n > 0) ? 0 : 1 }' \
 # time by design — the tuner optimizes *modeled* device time, which
 # --smoke's replay and the autotune bench already verify strictly wins.
 # What this budget guards is the serving hot path itself: with the
-# decision baked into the job memo, a steady-state tuned request must
+# decision baked into the shape's plan, a steady-state tuned request must
 # cost the same lookups a hand request does.  The pair comes from ONE
 # process (autotune_steady_*_rps: warmed hand and warmed tuned replays
 # timed back to back) because cross-process wall clocks in this
@@ -362,8 +364,8 @@ echo "ci: autotune goodput OK (best-of-3 steady-state tuned/hand ratio: $best_ra
 
 # The same steady-state budget with the tuner searching at --opt 3, where
 # the search space includes the engine opt axis (a tuned point may carry an
-# opt-level override baked into the job memo).  The override must not add
-# per-request host work: a steady-state request still does one memo lookup.
+# opt-level override baked into the plan).  The override must not add
+# per-request host work: a steady-state request still does one plan lookup.
 best_ratio3=0
 for i in 1 2 3; do
   s3json=$(dune exec bin/cora_cli.exe -- bench-stream --requests 5000 \

@@ -403,13 +403,16 @@ let bench_workload ~dataset = function
    and queue depth are point-in-time values, so they are sampled (not
    accumulated) once per latency window and re-sampled before an
    --openmetrics render. *)
-let sample_runtime_gauges () =
+let sample_runtime_gauges (w : Serving.Workload.t) =
   Obs.Exposition.sample_gc_gauges ();
   Obs.Metrics.set (Obs.Metrics.gauge "cache.compile_entries") (Cora.Lower.memo_size ());
-  Obs.Metrics.set (Obs.Metrics.gauge "cache.prelude_entries") (Cora.Prelude_cache.size ());
+  Obs.Metrics.set
+    (Obs.Metrics.gauge "cache.plan_entries")
+    (Cora.Cache.size w.Serving.Workload.job_cache);
   Obs.Metrics.set (Obs.Metrics.gauge "cache.engine_entries") (Cora.Exec.engine_memo_size ());
   (* per-cache hit/miss/eviction/occupancy gauges for every registered
-     bounded memo (compile, prelude, engine, batcher plan, tuner memo) *)
+     bounded memo (compile, serving plans, engine, batcher plan, tuner
+     memo) *)
   List.iter
     (fun (name, s) ->
       Obs.Exposition.set_cache_gauges ~name ~hits:s.Cora.Cache.hits ~misses:s.Cora.Cache.misses
@@ -441,11 +444,11 @@ let bench_stream_cmd =
   let windows_arg =
     Arg.(value & opt int 4 & info [ "windows" ] ~doc:"Latency windows for per-window p50.")
   in
-  let no_cc_flag =
-    Arg.(value & flag & info [ "no-compile-cache" ] ~doc:"Bypass the compile cache.")
-  in
-  let no_pc_flag =
-    Arg.(value & flag & info [ "no-prelude-cache" ] ~doc:"Bypass the prelude cache.")
+  let no_cache_flag =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ]
+          ~doc:"Bypass the serving plan memo and the compile cache: build every request afresh.")
   in
   let exec_flag =
     Arg.(
@@ -577,7 +580,7 @@ let bench_stream_cmd =
             "Render the metrics registry as OpenMetrics text to $(docv) after the replay \
              (self-validated by re-parsing).")
   in
-  let run workload dataset requests pool seed windows no_cc no_pc exec engine opt domains
+  let run workload dataset requests pool seed windows no_cache exec engine opt domains
       deadline_ms batching max_batch max_wait_ms tile trace_out flight_out openmetrics_out
       autotune smoke =
     if requests <= 0 || pool <= 0 || windows <= 0 then
@@ -614,7 +617,7 @@ let bench_stream_cmd =
     Serving.Server.reset_caches ();
     Runtime.Buffer.Arena.clear Runtime.Buffer.Arena.global;
     let srv =
-      Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
+      Serving.Server.create ~cache:(not no_cache)
         ~execute:exec ~engine ~opt
         ?autotune:(if autotune then Some Autotune.Tuner.default_cfg else None)
         ()
@@ -707,7 +710,7 @@ let bench_stream_cmd =
           misses := (now - !seen) :: !misses;
           seen := now;
           depths := queue_depth_now () :: !depths;
-          sample_runtime_gauges ()
+          sample_runtime_gauges w
         done;
         (Array.of_list !acc, List.rev !misses, List.rev !depths)
       end
@@ -734,7 +737,7 @@ let bench_stream_cmd =
                  goes in only after its step [t] resolves; events carry
                  their tenant class's deadline *)
               let pairs = Serving.Stream.run_trace fe w tr in
-              sample_runtime_gauges ();
+              sample_runtime_gauges w;
               (Array.map snd pairs, [])
           | None ->
               let tks =
@@ -752,7 +755,7 @@ let bench_stream_cmd =
                     let outcome = Serving.Frontend.await tk in
                     if List.mem i boundaries then begin
                       depths := Serving.Frontend.queue_length fe :: !depths;
-                      sample_runtime_gauges ()
+                      sample_runtime_gauges w
                     end;
                     outcome)
                   tks
@@ -764,6 +767,12 @@ let bench_stream_cmd =
       end
     in
     let wall_ns = (Obs.Trace_sink.now_us () -. t0_us) *. 1e3 in
+    (* engine-memo lookups of the main replay alone, before any check
+       below replays the stream again *)
+    let engine_lookups =
+      Obs.Metrics.value (Obs.Metrics.counter "engine_cache.hit")
+      + Obs.Metrics.value (Obs.Metrics.counter "engine_cache.miss")
+    in
     Obs.Span.set_enabled false;
     (match trace_out with
     | Some path ->
@@ -792,7 +801,7 @@ let bench_stream_cmd =
     | None -> ());
     (match openmetrics_out with
     | Some path ->
-        sample_runtime_gauges ();
+        sample_runtime_gauges w;
         let text = Obs.Exposition.to_openmetrics () in
         (match Obs.Exposition.validate text with
         | Ok n ->
@@ -945,7 +954,7 @@ let bench_stream_cmd =
       if (not autotune) || concurrent || batching_active then (0.0, 0.0)
       else begin
         let srv_h =
-          Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
+          Serving.Server.create ~cache:(not no_cache)
             ~execute:exec ~engine ~opt ()
         in
         ignore (Serving.Stream.replay srv_h w stream);
@@ -972,8 +981,7 @@ let bench_stream_cmd =
           ("seed", Obs.Json.Int seed);
           ("requests", Obs.Json.Int requests);
           ("pool", Obs.Json.Int pool);
-          ("compile_cache", Obs.Json.Bool (not no_cc));
-          ("prelude_cache", Obs.Json.Bool (not no_pc));
+          ("cache", Obs.Json.Bool (not no_cache));
           ("execute", Obs.Json.Bool exec);
           ("domains", Obs.Json.Int domains);
           ( "deadline_ms",
@@ -1005,8 +1013,9 @@ let bench_stream_cmd =
             Obs.Json.List (List.map (fun v -> Obs.Json.Float v) window_overhead_p50) );
           ("prelude_host_ns_on_hits", Obs.Json.Float host_ns_on_hits);
           ("compile_cache_entries", Obs.Json.Int (Cora.Lower.memo_size ()));
-          ("prelude_cache_entries", Obs.Json.Int (Cora.Prelude_cache.size ()));
+          ("plan_entries", Obs.Json.Int (Cora.Cache.size w.Serving.Workload.job_cache));
           ("engine_cache_entries", Obs.Json.Int (Cora.Exec.engine_memo_size ()));
+          ("engine_lookups", Obs.Json.Int engine_lookups);
           ("autotune", Obs.Json.Bool autotune);
           ("tuned_requests", Obs.Json.Int tuned_requests);
           ("autotune_fallbacks", Obs.Json.Int tuner_totals.Autotune.Tuner.t_fallbacks);
@@ -1041,7 +1050,7 @@ let bench_stream_cmd =
              replays the trace two more times *)
           let d_updated = mval "prelude.tables_delta_updated" in
           let d_shared = mval "prelude.tables_shared" in
-          let d_builds = mval "prelude_cache.delta" in
+          let d_builds = mval "plan.delta" in
           Cora.Prelude.set_delta_check false;
           let n_decode_served = ref 0 in
           Array.iteri
@@ -1084,7 +1093,7 @@ let bench_stream_cmd =
           in
           (* Back-to-back in-process pair: a serial trace replay with the
              delta path against the same workload stripped of
-             [prev_tables] (full rebuild per step).  Model ns is
+             [prev_lens] (full rebuild per step).  Model ns is
              deterministic (driven by the built work fields); wall us is
              informational.  Steady state = decode steps >= 2 — the
              prefill and the first decode step build from scratch in both
@@ -1092,8 +1101,7 @@ let bench_stream_cmd =
           let steady_sum wl =
             Serving.Server.reset_caches ();
             let s =
-              Serving.Server.create ~compile_cache:(not no_cc)
-                ~prelude_cache:(not no_pc) ~execute:exec ~engine ~opt ()
+              Serving.Server.create ~cache:(not no_cache) ~execute:exec ~engine ~opt ()
             in
             let rs = Serving.Stream.replay_trace s wl tr in
             let model = ref 0.0 and wall = ref 0.0 and n = ref 0 in
@@ -1113,7 +1121,7 @@ let bench_stream_cmd =
           in
           let delta_model, delta_wall, steady_n = steady_sum w in
           let rebuild_model, rebuild_wall, _ =
-            steady_sum { w with Serving.Workload.prev_tables = None }
+            steady_sum { w with Serving.Workload.prev_lens = None }
           in
           let speedup = if delta_model > 0.0 then rebuild_model /. delta_model else 0.0 in
           let dj =
@@ -1159,19 +1167,36 @@ let bench_stream_cmd =
       (* hit-rate floors assume the solo request signatures repeat;
          mega-batch signatures depend on window composition, so under
          --batching only the structural checks apply *)
-      if not no_cc then begin
+      if not no_cache then begin
         if (not batching_active) && compile_hit_rate <= 0.0 then
           Fmt.failwith "smoke: compile cache never hit";
-        if Cora.Lower.memo_size () = 0 then Fmt.failwith "smoke: compile cache is empty"
-      end;
-      if not no_pc then begin
+        if Cora.Lower.memo_size () = 0 then Fmt.failwith "smoke: compile cache is empty";
         (* a decode trace never repeats a shape — its prelude economics
            come from the delta path, asserted below, not from hits *)
         if (not batching_active) && (not is_decode) && prelude_hit_rate <= 0.0 then
-          Fmt.failwith "smoke: prelude cache never hit";
+          Fmt.failwith "smoke: no plan ever hit";
         if host_ns_on_hits <> 0.0 then
           Fmt.failwith "smoke: prelude host work on hits is %g ns, expected 0" host_ns_on_hits
       end;
+      (* a warm request must not touch the engine memo: a serial,
+         unbatched, untuned compiled stream compiles each distinct
+         shape's kernels once, when its plan is built, and never again
+         (a decode trace and a tune build extra plans by design) *)
+      (if (not no_cache) && exec && engine = `Compiled && (not concurrent)
+          && (not batching_active) && (not is_decode) && not autotune
+       then
+         let shapes = List.sort_uniq compare (Array.to_list stream.Serving.Stream.items) in
+         let bound =
+           List.fold_left
+             (fun acc lens ->
+               acc + List.length (w.Serving.Workload.build lens).Serving.Workload.kernels)
+             0 shapes
+         in
+         if engine_lookups > bound then
+           Fmt.failwith
+             "smoke: %d engine-memo lookups for %d shapes (%d kernels): a warm request \
+              touched the engine memo"
+             engine_lookups (List.length shapes) bound);
       (* the cache-sensitive overhead must not rise again once warm *)
       let rec check_monotone i = function
         | prev :: (cur :: _ as rest) ->
@@ -1186,7 +1211,7 @@ let bench_stream_cmd =
       (* decode grows every shape monotonically (prelude entries and
          tensor sizes rise by construction), so the flat-steady-state
          windows below do not apply — its budget is the delta assertion *)
-      if (not no_pc) && (not concurrent) && (not batching_active) && not is_decode then
+      if (not no_cache) && (not concurrent) && (not batching_active) && not is_decode then
         check_monotone 0 window_overhead_p50;
       (* zero-allocation steady state: once the first window has populated
          the arena's size classes, later windows must not miss (serial
@@ -1235,7 +1260,7 @@ let bench_stream_cmd =
          fresh interpreter replay of the same requests *)
       (if exec && engine = `Compiled && not concurrent then
          let srv_i =
-           Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
+           Serving.Server.create ~cache:(not no_cache)
              ~execute:true ~engine:`Interp ()
          in
          let first = { stream with Serving.Stream.items = Array.sub stream.items 0 wsize } in
@@ -1259,7 +1284,7 @@ let bench_stream_cmd =
          if Autotune.Tuner.memo_size () = 0 then
            Fmt.failwith "smoke: autotune memo is empty after the replay";
          let srv_u =
-           Serving.Server.create ~compile_cache:(not no_cc) ~prelude_cache:(not no_pc)
+           Serving.Server.create ~cache:(not no_cache)
              ~execute:true ~engine ~opt ()
          in
          let untuned = Serving.Stream.replay srv_u w stream in
@@ -1285,7 +1310,7 @@ let bench_stream_cmd =
          differential self-check armed above already vouched bitwise for
          every delta table. *)
       (match decode_stats with
-      | Some (d_updated, delta_model, rebuild_model) when not no_pc ->
+      | Some (d_updated, delta_model, rebuild_model) when not no_cache ->
           if d_updated = 0 then
             Fmt.failwith "smoke: decode stream never delta-updated a prelude table";
           if rebuild_model > 0.0 && delta_model > 0.5 *. rebuild_model then
@@ -1299,11 +1324,11 @@ let bench_stream_cmd =
   Cmd.v
     (Cmd.info "bench-stream"
        ~doc:
-         "Replay a deterministic request stream through the serving layer (compile + \
-          prelude caches) and print a BENCH_STREAM JSON summary line.")
+         "Replay a deterministic request stream through the serving layer (one memoized \
+          plan per request shape) and print a BENCH_STREAM JSON summary line.")
     Term.(
       const run $ workload_arg $ dataset_arg $ requests_arg $ pool_arg $ seed_arg
-      $ windows_arg $ no_cc_flag $ no_pc_flag $ exec_flag $ engine_arg $ opt_arg
+      $ windows_arg $ no_cache_flag $ exec_flag $ engine_arg $ opt_arg
       $ domains_arg $ deadline_ms_arg $ batching_flag $ max_batch_arg $ max_wait_ms_arg
       $ tile_arg $ trace_out_arg $ flight_out_arg $ openmetrics_arg $ autotune_flag
       $ smoke_flag)

@@ -71,27 +71,14 @@ let memo_size () = Cache.size memo
 let memo_stats () = Cache.stats memo
 let set_memo_capacity n = Cache.set_capacity memo n
 
-(* Bumped on every [clear] so decision copies baked into caches outside
-   this module (the serving layer's per-workload job memos) can tell
-   their entries predate the wipe. *)
-let epoch_a = Atomic.make 0
-let epoch () = Atomic.get epoch_a
-
 let clear () =
   Cache.clear memo;
-  Atomic.incr epoch_a;
   List.iter (fun a -> Atomic.set a 0) [ a_searched; a_pruned; a_wins; a_fallbacks; a_tunes ]
 
 (* ---------------- pricing ---------------- *)
 
-let prelude_of ?tables_sig (j : job) : Prelude.built =
-  let defs = List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) j.kernels in
-  match tables_sig with
-  | Some tables_sig -> fst (Prelude_cache.build_cached ~tables_sig defs j.lenv)
-  | None -> Prelude.build ~dedup_defs:true defs j.lenv
-
-let ctx_of ~device ?tables_sig (j : job) : Machine.Launch.ctx =
-  Machine.Launch.make_ctx ~prelude:(prelude_of ?tables_sig j) ~device ~lenv:j.lenv j.kernels
+let ctx_of ~device (j : job) : Machine.Launch.ctx =
+  Machine.Launch.make_ctx ~device ~lenv:j.lenv j.kernels
 
 (* Stage-1 analytic bound: one whole-body cost evaluation per kernel —
    total scalar work (flops + index arithmetic + loads + indirect
@@ -99,8 +86,8 @@ let ctx_of ~device ?tables_sig (j : job) : Machine.Launch.ctx =
    trip counts) weighted by the device's per-op nanoseconds.  Thread-bound
    loops are lane-normalised by the cost model itself; block-level
    distribution is deliberately ignored — that is what stage 2 adds. *)
-let bound_ns ~(device : Machine.Device.t) ?tables_sig (j : job) : float =
-  let ctx = ctx_of ~device ?tables_sig j in
+let bound_ctx (ctx : Machine.Launch.ctx) (j : job) : float =
+  let device = ctx.Machine.Launch.device in
   let env = Machine.Launch.cost_env ctx in
   List.fold_left
     (fun acc (k : Lower.kernel) ->
@@ -123,43 +110,47 @@ let bound_ns ~(device : Machine.Device.t) ?tables_sig (j : job) : float =
 (* Stage-2 exact simulation: the same per-launch grid enumeration, block
    costing and makespan scheduling the serving pipeline reports as
    [kernels_ns]. *)
-let simulate_ns ~device ?tables_sig (j : job) : float =
-  let ctx = ctx_of ~device ?tables_sig j in
+let simulate_ctx (ctx : Machine.Launch.ctx) (j : job) : float =
   List.fold_left (fun acc l -> acc +. Machine.Launch.time ctx l) 0.0 j.launches
+
+let bound_ns ~device j = bound_ctx (ctx_of ~device j) j
+let simulate_ns ~device j = simulate_ctx (ctx_of ~device j) j
 
 (* ---------------- the search ---------------- *)
 
-let tune ?(cfg = default_cfg) ~device ~key:k ?tables_sig ~(hand : job)
+let tune ?(cfg = default_cfg) ~device ~key:k ~(hand : job)
     ~(candidates : (Space.point * (unit -> job)) list) () : decision =
   Obs.Span.with_span
     ~attrs:[ ("candidates", Obs.Trace_sink.Int (List.length candidates)) ]
     "autotune.tune"
   @@ fun () ->
   let t0 = Obs.Trace_sink.now_us () in
-  let hand_ns = simulate_ns ~device ?tables_sig hand in
+  let hand_ns = simulate_ns ~device hand in
   let admitted = List.filteri (fun i _ -> i < cfg.max_candidates) candidates in
   let searched = List.length admitted in
-  (* Build + bound every admitted candidate.  A builder that raises is
-     dropped (and counted as pruned): an over-aggressive point must not
-     take down the serving request that triggered the tune. *)
+  (* Build + bound every admitted candidate, keeping its launch context
+     (and so its prelude) for stage 2.  A builder that raises is dropped
+     (and counted as pruned): an over-aggressive point must not take down
+     the serving request that triggered the tune. *)
   let bounded =
     List.filter_map
       (fun (p, build) ->
         match
           let j = build () in
-          (p, j, bound_ns ~device ?tables_sig j)
+          let ctx = ctx_of ~device j in
+          (p, j, ctx, bound_ctx ctx j)
         with
-        | pjb -> Some pjb
+        | c -> Some c
         | exception _ -> None)
       admitted
   in
-  let bounded = List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b) bounded in
+  let bounded = List.stable_sort (fun (_, _, _, a) (_, _, _, b) -> Float.compare a b) bounded in
   let survivors = List.filteri (fun i _ -> i < cfg.survivors) bounded in
   let pruned = searched - List.length survivors in
   let best =
     List.fold_left
-      (fun acc (p, j, _) ->
-        let ns = simulate_ns ~device ?tables_sig j in
+      (fun acc (p, j, ctx, _) ->
+        let ns = simulate_ctx ctx j in
         match acc with Some (_, b) when b <= ns -> acc | _ -> Some (p, ns))
       None survivors
   in

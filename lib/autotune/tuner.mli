@@ -65,19 +65,18 @@ val lookup : Cora.Sig.t -> decision option
 
 (** Stage-1 analytic bound (ns): one whole-body cost-model evaluation per
     kernel, priced by the device's per-op weights (compute-bound) or raw
-    traffic against device bandwidth (memory-bound).  [?tables_sig] routes
-    the candidate's prelude through {!Cora.Prelude_cache} so repeated
-    tunes (and the eventual tuned serve) reuse the build. *)
-val bound_ns : device:Machine.Device.t -> ?tables_sig:Cora.Sig.t -> job -> float
+    traffic against device bandwidth (memory-bound). *)
+val bound_ns : device:Machine.Device.t -> job -> float
 
 (** Stage-2 exact simulation (ns): sum of {!Machine.Launch.time} over the
     job's launches — identical to the [kernels_ns] the serving pipeline
     would report for this job. *)
-val simulate_ns : device:Machine.Device.t -> ?tables_sig:Cora.Sig.t -> job -> float
+val simulate_ns : device:Machine.Device.t -> job -> float
 
 (** Run the two-stage search and memoize the decision under [key].
     [hand] is the already-built hand-schedule job (the baseline — it is
-    never pruned); [candidates] are built lazily, inside the search, so
+    never pruned); [candidates] are built lazily, inside the search, each
+    with its prelude built once and shared by both stages, so
     callers should wrap [tune] in {!Cora.Lower.with_memo} to share
     lowerings across repeated tunes.  Candidate builders that raise are
     skipped (counted as pruned): an over-aggressive point must not take
@@ -86,7 +85,6 @@ val tune :
   ?cfg:cfg ->
   device:Machine.Device.t ->
   key:Cora.Sig.t ->
-  ?tables_sig:Cora.Sig.t ->
   hand:job ->
   candidates:(Space.point * (unit -> job)) list ->
   unit ->
@@ -116,13 +114,7 @@ val memo_stats : unit -> Cora.Cache.stats
 val set_memo_capacity : int -> unit
 
 (** Drop every memoized decision and zero the process-wide totals (the
-    [autotune.*] registry counters are monotonic and unaffected).
-    Bumps {!epoch}. *)
+    [autotune.*] registry counters are monotonic and unaffected).  Its
+    one caller, [Serving.Server.reset_caches], empties every serving
+    plan with it, so no plan outlives the decision it was built from. *)
 val clear : unit -> unit
-
-(** Incremented by every {!clear}.  A caller holding decisions outside
-    the memo (e.g. the serving layer's per-workload job memo, which
-    bakes the decision into the cached job so repeat shapes skip the
-    [Sig] work of {!key}) tags them with the epoch and treats a
-    mismatch as a miss, so a wipe here invalidates those copies too. *)
-val epoch : unit -> int

@@ -1,7 +1,8 @@
 (** Bounded, domain-safe memo tables.
 
-    The serving layer keeps three process-wide memo tables (the lowering
-    memo, the prelude cache and the compiled-kernel memo).  Under a
+    The serving layer keeps its memos here: one plan memo per workload
+    instance, and the process-wide lowering memo, compiled-kernel memo
+    and autotuner decision memo its plans are built through.  Under a
     concurrent front-end they are touched from several worker domains at
     once, and under a long-lived request stream an unbounded table is a
     memory leak — a steady drip of never-repeating batch shapes grows it

@@ -49,39 +49,17 @@ let engine_memo_capacity () = Cache.capacity engine_memo
 let engine_hit_c = Obs.Metrics.counter "engine_cache.hit"
 let engine_miss_c = Obs.Metrics.counter "engine_cache.miss"
 
-(* Per-request engine-memo accounting, scoped in domain-local storage
-   exactly like [Lower.with_memo]: the global hit/miss counters
-   double-count as soon as two requests overlap, so callers that need a
-   per-request tally (the serving flight recorder) wrap their pipeline
-   in [with_engine_stats] and read the stats the scope collected. *)
-type engine_stats = { mutable hits : int; mutable misses : int }
-
-let engine_stats_key : engine_stats option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_engine_stats f =
-  let slot = Domain.DLS.get engine_stats_key in
-  let saved = !slot in
-  let stats = { hits = 0; misses = 0 } in
-  slot := Some stats;
-  let v = Fun.protect ~finally:(fun () -> slot := saved) f in
-  (v, stats)
-
-let tally_engine hit =
-  match !(Domain.DLS.get engine_stats_key) with
-  | Some s -> if hit then s.hits <- s.hits + 1 else s.misses <- s.misses + 1
-  | None -> ()
-
-let compile_cached ~(opt : Ir.Optimize.level) (k : Lower.kernel) : Runtime.Engine.compiled =
+(* Returns whether the kernel came from the memo, so a caller that
+   compiles a whole job up front (a serving plan) can tally its own
+   lookups without global counter deltas. *)
+let compile_cached ~(opt : Ir.Optimize.level) (k : Lower.kernel) : Runtime.Engine.compiled * bool =
   let key = (Sig.of_stmt k.Lower.body, Ir.Optimize.int_of_level opt) in
   match Cache.find engine_memo key with
   | Some c ->
       Obs.Metrics.incr engine_hit_c;
-      tally_engine true;
-      c
+      (c, true)
   | None ->
       Obs.Metrics.incr engine_miss_c;
-      tally_engine false;
       let c =
         Obs.Span.with_span
           ~attrs:
@@ -93,7 +71,7 @@ let compile_cached ~(opt : Ir.Optimize.level) (k : Lower.kernel) : Runtime.Engin
           (fun () -> Runtime.Engine.compile ~opt k.Lower.body)
       in
       Cache.add engine_memo key c;
-      c
+      (c, false)
 
 (* Bind buffers, length functions and prelude tables to a frame, in the
    same order the interpreter path binds them (later bindings win). *)
@@ -107,7 +85,7 @@ let bind_frame ~(lenv : Lenfun.env) ~(built : Prelude.built) ~(bindings : bindin
       | Prelude.Table a -> Runtime.Engine.bind_ufun_table fr name a)
     built.Prelude.tables
 
-let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(domains = 1) ?prelude
+let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(domains = 1) ?prelude ?compiled
     ~(lenv : Lenfun.env) ~(bindings : binding list) (kernels : Lower.kernel list) :
     Runtime.Interp.env option * Prelude.built =
   if domains > 1 && engine = `Interp then
@@ -149,19 +127,24 @@ let run ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?(domains = 1) ?prelude
       let pool =
         if domains > 1 then Some (Runtime.Engine.Pool.create ~domains ()) else None
       in
+      let compiled =
+        match compiled with
+        | Some cs -> List.map Option.some cs
+        | None -> List.map (fun _ -> None) kernels
+      in
       Fun.protect ~finally:(fun () -> Option.iter Runtime.Engine.Pool.shutdown pool)
       @@ fun () ->
-      List.iter
-        (fun (k : Lower.kernel) ->
+      List.iter2
+        (fun (k : Lower.kernel) c ->
           Obs.Span.with_span
             ~attrs:[ ("kernel", Obs.Trace_sink.Str k.Lower.kname) ]
             "exec.kernel"
           @@ fun () ->
-          let c = compile_cached ~opt k in
+          let c = match c with Some c -> c | None -> fst (compile_cached ~opt k) in
           let fr = Runtime.Engine.frame c in
           bind_frame ~lenv ~built ~bindings fr;
           Obs.Span.with_span "engine.run" (fun () -> Runtime.Engine.run ?pool fr))
-        kernels;
+        kernels compiled;
       (None, built)
 
 (** Convenience wrapper for ragged tensor values. *)

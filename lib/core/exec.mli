@@ -18,19 +18,24 @@ type binding = Tensor.t * Runtime.Buffer.t
     structural signature. *)
 type engine = [ `Interp | `Compiled ]
 
+val engine_name : engine -> string
+
 (** Returns the interpreter environment — [Some] under [`Interp], whose
     statistics counters it carries; [None] under [`Compiled], which
     counts nothing — and the prelude used (for overhead accounting).
     [?domains] (default 1) above 1 executes [Parallel]-bound loops on
     one persistent {!Runtime.Engine.Pool} of that many domains; it
     requires [`Compiled] ([Invalid_argument] under [`Interp], the serial
-    oracle).  [?prelude] supplies already-built aux structures (e.g. from
-    {!Prelude_cache}), skipping the build.  [?opt] (default [O0],
-    compiled engine only) selects the {!Ir.Optimize} level — outputs stay
-    bitwise-identical at every level. *)
+    oracle).  [?prelude] supplies already-built aux structures (e.g. a
+    serving plan's), skipping the build.  [?compiled] supplies the
+    kernels already compiled (one per kernel, in order, e.g. a serving
+    plan's); without it each kernel is compiled through the memo
+    ({!compile_cached}).  [?opt] (default [O0], compiled engine only)
+    selects the {!Ir.Optimize} level — outputs stay bitwise-identical at
+    every level. *)
 val run :
   ?engine:engine -> ?opt:Ir.Optimize.level -> ?domains:int ->
-  ?prelude:Prelude.built ->
+  ?prelude:Prelude.built -> ?compiled:Runtime.Engine.compiled list ->
   lenv:Lenfun.env -> bindings:binding list -> Lower.kernel list ->
   Runtime.Interp.env option * Prelude.built
 
@@ -40,14 +45,10 @@ val run_ragged :
   lenv:Lenfun.env -> tensors:Ragged.t list -> Lower.kernel list ->
   Runtime.Interp.env option * Prelude.built
 
-(** Per-request compiled-kernel-memo accounting.  [with_engine_stats f]
-    runs [f] with a fresh tally scoped to the calling domain (like
-    {!Lower.with_memo}): every memo probe made by [f] — and nothing made
-    by overlapping requests on other domains — is counted.  Nested
-    scopes shadow; the previous scope is restored on exit. *)
-type engine_stats = { mutable hits : int; mutable misses : int }
-
-val with_engine_stats : (unit -> 'a) -> 'a * engine_stats
+(** [compile_cached ~opt k] — [k]'s body compiled at [opt], through the
+    [(Sig, opt level)]-keyed memo; the flag says whether it was a memo
+    hit ([engine_cache.hit] / [engine_cache.miss]). *)
+val compile_cached : opt:Ir.Optimize.level -> Lower.kernel -> Runtime.Engine.compiled * bool
 
 (** Clear the [(Sig, opt level)]-keyed compiled-kernel memo (paired with
     {!Lower.clear_memo} by [Serving.Server.reset_caches]). *)

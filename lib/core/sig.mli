@@ -10,11 +10,11 @@
     names — all resolved by string) {e do} participate: they are part of
     the program's meaning.
 
-    Signatures key the caches of the batch-stream serving layer
-    ({!Lower.lower_memo}'s compile cache and {!Prelude.build_cached}'s
-    prelude cache): equality is decided on the full canonical form, never
-    on the 64-bit hash alone, so a hash collision can cost a cache miss
-    but never a wrong reuse. *)
+    Signatures key the memos a serving plan is built through (the
+    compile cache of {!Lower.with_memo}, the compiled-kernel memo of
+    {!Exec.compile_cached}, the autotuner's decision memo): equality is
+    decided on the full canonical form, never on the 64-bit hash alone,
+    so a hash collision can cost a cache miss but never a wrong reuse. *)
 
 type t
 

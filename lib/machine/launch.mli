@@ -21,8 +21,8 @@ type ctx = {
   built : Cora.Prelude.built;
 }
 
-(** [?prelude] supplies already-built aux structures (e.g. from
-    {!Cora.Prelude_cache}) instead of building them here. *)
+(** [?prelude] supplies already-built aux structures (e.g. a serving
+    plan's) instead of building them here. *)
 val make_ctx :
   ?prelude:Cora.Prelude.built ->
   device:Device.t -> lenv:Cora.Lenfun.env -> Cora.Lower.kernel list -> ctx

@@ -102,8 +102,8 @@ module Pack = struct
 end
 
 (* Pack plans depend only on the members' row lengths and the knobs, so
-   they memoize under the same kind of canonical raggedness signature the
-   prelude cache uses ([Sig.of_rows]). *)
+   they memoize under the members' canonical raggedness signature
+   ([Sig.of_rows]). *)
 let plan_cache : (string, Pack.plan) Cache.t =
   Cache.create ~name:"batcher.plan" ~capacity:256 ()
 

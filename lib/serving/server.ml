@@ -25,47 +25,53 @@ type response = {
 
 type t = {
   device : Machine.Device.t;
-  compile_cache : bool;
-  prelude_cache : bool;
+  cache : bool;
   execute : bool;
   engine : Exec.engine;
   opt : Ir.Optimize.level;
   autotune : Autotune.Tuner.cfg option;
+  key_prefix : string;
 }
 
-let create ?(device = Machine.Device.v100) ?(compile_cache = true) ?(prelude_cache = true)
-    ?(execute = true) ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?autotune () : t =
-  { device; compile_cache; prelude_cache; execute; engine; opt; autotune }
+(* A plan key names what a plan depends on besides its workload instance
+   (whose own memo holds it) and the raggedness vector appended per
+   request: the serving mode, the engine and opt level its kernels are
+   compiled for, and the device its launch model is priced on — so a
+   front end's degraded [`Interp] twin never reads a compiled plan. *)
+let make ~device ~cache ~execute ~engine ~opt ~autotune =
+  let key_prefix =
+    String.concat "|"
+      [
+        (if autotune = None then "hand" else "auto");
+        Exec.engine_name engine;
+        Ir.Optimize.level_name opt;
+        device.Machine.Device.name;
+      ]
+  in
+  { device; cache; execute; engine; opt; autotune; key_prefix }
 
-let compile_cache_enabled t = t.compile_cache
-let prelude_cache_enabled t = t.prelude_cache
+let create ?(device = Machine.Device.v100) ?(cache = true) ?(execute = true)
+    ?(engine = `Interp) ?(opt = Ir.Optimize.O0) ?autotune () : t =
+  make ~device ~cache ~execute ~engine ~opt ~autotune
+
 let engine t = t.engine
 let opt_level t = t.opt
 let autotune_enabled t = t.autotune <> None
-let with_engine t engine = { t with engine }
 
-(* Launch-model memo.  {!Machine.Launch.pipeline} is a pure function of
-   the lowered kernels, the prelude and the device, but evaluating it
-   enumerates every block — host work proportional to the grid, paid on
-   every request even when compile and prelude both hit.  An autotuned
-   schedule typically has *more* blocks than the hand one (that is where
-   its modeled win comes from), so without this memo the tuned steady
-   state would cost more host time per request than the hand steady
-   state.  Keyed by the full request identity — workload, device, engine,
-   opt level, schedule variant and the canonical raggedness signature
-   (never the hash alone) — which determines the job and prelude exactly,
-   hence the modeled time.  Values are a few floats; collisions are
-   impossible (full-key compare) and eviction merely re-enumerates. *)
-let launch_memo : (string, Machine.Launch.pipeline_time) Cache.t =
-  Cache.create ~name:"launch_model" ~capacity:256 ()
+let with_engine t engine =
+  make ~device:t.device ~cache:t.cache ~execute:t.execute ~engine ~opt:t.opt
+    ~autotune:t.autotune
 
 let reset_caches () =
   Lower.clear_memo ();
-  Prelude_cache.clear ();
   Exec.clear_engine_memo ();
   Autotune.Tuner.clear ();
-  Cache.clear launch_memo;
   Workload.clear_caches ()
+
+(* A tuned point may carry an engine opt-level override (the tuner's opt
+   axis); every level is bitwise-identical, so this never changes the
+   response payload. *)
+let plan_opt srv = function Some o -> Ir.Optimize.level_of_int o | None -> srv.opt
 
 let default_fill name idx =
   let h =
@@ -76,7 +82,7 @@ let default_fill name idx =
   in
   (float_of_int (h mod 1009) /. 504.5) -. 1.0
 
-(* Execute the job's kernels through the selected engine.
+(* Execute the plan's kernels through the selected engine.
 
    Cached kernels reference the tensor objects of whichever build first
    produced them, while uncached kernels of the same job (e.g. the
@@ -93,19 +99,9 @@ let default_fill name idx =
    [Array.make]-fresh semantics (including zeroed padding) the kernels
    rely on; the extra class-rounding tail beyond the tensor's size is
    never addressed by a correct kernel. *)
-type exec_stats = {
-  x_engine_hits : int;
-  x_engine_misses : int;
-  x_arena_hits : int;
-  x_arena_misses : int;
-}
-
-let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
-    (built : Prelude.built) : counters option * float array * exec_stats =
-  (* a tuned point may carry an engine opt-level override (the tuner's
-     opt axis); every level is bitwise-identical, so this never changes
-     the response payload *)
-  let eff_opt = Option.value opt_override ~default:srv.opt in
+let execute ?(fill = default_fill) (srv : t) (plan : Workload.plan) :
+    counters option * float array * int * int =
+  let job = plan.Workload.job in
   let arena = Runtime.Buffer.Arena.global in
   let arena_hits = ref 0 and arena_misses = ref 0 in
   let raggeds : (string, Ragged.t) Hashtbl.t = Hashtbl.create 16 in
@@ -154,13 +150,10 @@ let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
   Hashtbl.iter
     (fun name r -> if not (Hashtbl.mem written name) then Ragged.fill r (fill name))
     raggeds;
-  (* Per-request compiled-kernel-memo tally, scoped in domain-local
-     storage ([Exec.with_engine_stats]) — never global counter deltas,
-     which double-count as soon as two requests overlap. *)
-  let (env, _), estats =
-    Exec.with_engine_stats (fun () ->
-        Exec.run ~engine:srv.engine ~opt:eff_opt ~prelude:built ~lenv:job.Workload.lenv
-          ~bindings:!bindings job.Workload.kernels)
+  let env, _ =
+    Exec.run ~engine:srv.engine ~opt:(plan_opt srv plan.Workload.opt)
+      ~prelude:plan.Workload.built ?compiled:plan.Workload.compiled ~lenv:job.Workload.lenv
+      ~bindings:!bindings job.Workload.kernels
   in
   let out =
     match Hashtbl.find_opt raggeds job.Workload.out_name with
@@ -175,15 +168,105 @@ let execute ?(fill = default_fill) ?opt_override (srv : t) (job : Workload.job)
      4 words of major-GC work per output word reclaims them about as fast
      as requests make them. *)
   if Array.length out > 256 then ignore (Gc.major_slice (4 * Array.length out));
-  let stats =
-    {
-      x_engine_hits = estats.Exec.hits;
-      x_engine_misses = estats.Exec.misses;
-      x_arena_hits = !arena_hits;
-      x_arena_misses = !arena_misses;
-    }
+  (Option.map Runtime.Interp.stats env, out, !arena_hits, !arena_misses)
+
+(* ---- plan building (a miss) ---- *)
+
+let defs_of (job : Workload.job) =
+  List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) job.Workload.kernels
+
+(* The job's kernels compiled through the engine memo (compiled engine
+   only), with the memo's hits and misses among them. *)
+let compile_job srv opt (job : Workload.job) =
+  match srv.engine with
+  | `Interp -> (None, 0, 0)
+  | `Compiled ->
+      let cs = List.map (Exec.compile_cached ~opt) job.Workload.kernels in
+      let hits = List.length (List.filter snd cs) in
+      (Some (List.map fst cs), hits, List.length cs - hits)
+
+let delta_c = Obs.Metrics.counter "plan.delta"
+
+(* An autoregressive workload delta-updates its prelude from the
+   predecessor step's plan, found by one lookup of the predecessor's key;
+   a delta result is bitwise a fresh build, so any other shape simply
+   builds from scratch. *)
+let prelude_of srv (w : Workload.t) ~key_of lens (job : Workload.job) =
+  let prev =
+    match w.Workload.prev_lens with
+    | Some f when srv.cache ->
+        Option.bind (f lens) (fun pl -> Cache.find w.Workload.job_cache (key_of pl))
+    | _ -> None
   in
-  (Option.map Runtime.Interp.stats env, out, stats)
+  match prev with
+  | Some (p : Workload.plan) ->
+      Obs.Metrics.incr delta_c;
+      Prelude.delta_update ~prev:p.Workload.built ~old_lenv:p.Workload.job.Workload.lenv
+        (defs_of job) job.Workload.lenv
+  | None -> Prelude.build ~dedup_defs:true (defs_of job) job.Workload.lenv
+
+(* Model time: the launches are timed against the plan's prelude (no
+   rebuild inside the pipeline). *)
+let plan_of srv ~job ~tuner ~opt ~compiled built =
+  {
+    Workload.job;
+    tuner;
+    opt;
+    tables_hex = Sig.to_hex (Sig.of_tables job.Workload.tables);
+    built;
+    pipeline =
+      Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
+        ~device:srv.device ~lenv:job.Workload.lenv job.Workload.launches;
+    compiled;
+  }
+
+(* What the compile stage of a plan miss produces: the job with its
+   compiled kernels, the tuner's verdict, the tune still owed (a true
+   tuner miss), and the memo lookups it took. *)
+type miss = {
+  m_job : Workload.job;
+  m_tuner : string;
+  m_opt : int option;
+  m_compiled : Runtime.Engine.compiled list option;
+  m_pending : (Autotune.Tuner.cfg * Workload.tunable * Sig.t) option;
+  m_memo : Lower.memo_stats;
+  m_engine_hits : int;
+  m_engine_misses : int;
+}
+
+let lower srv (w : Workload.t) lens : miss =
+  let build f =
+    Lower.with_memo ~cache:srv.cache (fun () -> Obs.Span.with_span "serve.compile" f)
+  in
+  let (job, memo), tuner, opt, pending =
+    match (srv.autotune, w.Workload.tunable) with
+    | Some cfg, Some tn -> (
+        let key =
+          Autotune.Tuner.key ~workload:w.Workload.name ~tables:(tn.Workload.tables_of lens)
+            ~opt:srv.opt
+        in
+        match Autotune.Tuner.lookup key with
+        | Some { Autotune.Tuner.point = Some p; _ } ->
+            ( build (fun () -> tn.Workload.build_tuned p lens),
+              "tuned",
+              p.Autotune.Space.opt,
+              None )
+        | Some _ -> (build (fun () -> w.Workload.build lens), "hand", None, None)
+        (* serve the hand schedule now; tune after the response *)
+        | None -> (build (fun () -> w.Workload.build lens), "miss", None, Some (cfg, tn, key)))
+    | _ -> (build (fun () -> w.Workload.build lens), "off", None, None)
+  in
+  let compiled, hits, misses = compile_job srv (plan_opt srv opt) job in
+  {
+    m_job = job;
+    m_tuner = tuner;
+    m_opt = opt;
+    m_compiled = compiled;
+    m_pending = pending;
+    m_memo = memo;
+    m_engine_hits = hits;
+    m_engine_misses = misses;
+  }
 
 (* Modelled request time, not a wall-clock latency; the handle is held
    here so a request never takes the registry's lock to find it. *)
@@ -195,10 +278,6 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     ~attrs:[ ("workload", Obs.Trace_sink.Str w.Workload.name) ]
     "serve.request"
   @@ fun () ->
-  (* The per-request cache policy is threaded as an argument ([with_memo]
-     scopes it in domain-local storage) and the hit/miss tally comes back
-     from the lowering calls themselves — never from global counter
-     deltas, which double-count as soon as two requests overlap. *)
   let stages = ref [] in
   let staged name f =
     stage_check name;
@@ -207,10 +286,9 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     stages := (name, Obs.Trace_sink.now_us () -. t0) :: !stages;
     v
   in
-  (* The raggedness vector rendered once — suffix of every per-instance
-     memo key this request touches. *)
-  let render_lens ls =
-    let b = Buffer.create 48 in
+  let key_of ls =
+    let b = Buffer.create 64 in
+    Buffer.add_string b srv.key_prefix;
     Array.iter
       (fun l ->
         Buffer.add_char b '|';
@@ -218,237 +296,66 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
       ls;
     Buffer.contents b
   in
-  let lens_key = render_lens lens in
-  (* The tuner decision is baked into the job memo: an autotuned server's
-     steady-state request does exactly one lookup — same work as a hand
-     server — and gets back the job to serve, the tuner state to report
-     and the schedule-variant tag that keys the launch-model memo below.
-     Keys are mode-prefixed ("auto|<opt>" vs "hand"), so an autotuned and
-     an untuned server sharing one workload value can never read each
-     other's entries, and auto entries are epoch-tagged so a
-     [Autotune.Tuner.clear] invalidates them wholesale.  Only a miss (an
-     unseen shape, or the first sighting after a wipe) pays the Sig work
-     of the canonical tuner key; a true tuner miss additionally serves
-     the hand schedule now and runs a budgeted tune after the response's
-     pipeline, inserting the winner so the *next* request hits. *)
-  let auto =
-    match (srv.autotune, w.Workload.tunable) with
-    | Some cfg, Some tn -> Some (cfg, tn)
-    | _ -> None
-  in
-  let ep = Autotune.Tuner.epoch () in
-  let jkey_prefix =
-    match auto with
-    | Some _ -> "auto|" ^ Ir.Optimize.level_name srv.opt
-    | None -> "hand"
-  in
-  let jkey = jkey_prefix ^ lens_key in
-  let variant_of (d : Autotune.Tuner.decision) =
-    match d.Autotune.Tuner.point with
-    | Some p -> "t " ^ Autotune.Space.to_string p
-    | None -> "hand"
-  in
-  let state_of (d : Autotune.Tuner.decision) =
-    if d.Autotune.Tuner.point = None then "hand" else "tuned"
-  in
-  let opt_of (d : Autotune.Tuner.decision) =
-    match d.Autotune.Tuner.point with
-    | Some p -> p.Autotune.Space.opt
-    | None -> None
-  in
-  let insert_cached job state variant opt sig_ pkey =
-    if srv.compile_cache then
-      Cache.add w.Workload.job_cache jkey
-        {
-          Workload.c_epoch = ep;
-          c_job = job;
-          c_state = state;
-          c_variant = variant;
-          c_opt = opt;
-          c_sig = sig_;
-          c_pkey = pkey;
-        }
-  in
-  (* [pending] carries the tune obligation (a true tuner miss) out of the
-     compile stage; the tune itself runs after the staged pipeline.
-     [baked] carries a memo hit's precomputed signature and prelude, so
-     the hit path below skips the per-request Sig/defs/prelude-key work
-     a compile-memo hit would still pay. *)
-  let job, compile_hits, compile_misses, state0, variant, opt_ov, pending, baked =
+  let key = key_of lens in
+  (* A hit is one lookup: the prelude and launch stages have nothing
+     left to do.  A miss builds the plan stage by stage and memoizes it —
+     unless a tune is owed, which inserts the winner's plan instead. *)
+  let found =
     staged "compile" @@ fun () ->
-    let cached =
-      if srv.compile_cache then
-        match Cache.find w.Workload.job_cache jkey with
-        | Some cj when auto = None || cj.Workload.c_epoch = ep -> Some cj
-        | _ -> None
-      else None
-    in
-    match cached with
-    | Some cj ->
-        (* the whole job is memoized: every kernel in it is a (stronger
-           form of a) compile-memo hit — no Sig even gets computed *)
-        ( cj.Workload.c_job,
-          List.length cj.Workload.c_job.Workload.kernels,
-          0,
-          cj.Workload.c_state,
-          cj.Workload.c_variant,
-          cj.Workload.c_opt,
-          None,
-          Some cj )
-    | None -> (
-        let build_with f =
-          Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Obs.Span.with_span "serve.compile" f)
+    match if srv.cache then Cache.find w.Workload.job_cache key else None with
+    | Some p -> `Hit p
+    | None -> `Miss (lower srv w lens)
+  in
+  let plan, miss =
+    match found with
+    | `Hit p ->
+        staged "prelude" ignore;
+        staged "launch" ignore;
+        (p, None)
+    | `Miss m ->
+        let built =
+          staged "prelude" @@ fun () ->
+          Obs.Span.with_span "serve.prelude" (fun () -> prelude_of srv w ~key_of lens m.m_job)
         in
-        match auto with
-        | None ->
-            let job, memo = build_with (fun () -> w.Workload.build lens) in
-            (job, memo.Lower.hits, memo.Lower.misses, "off", "hand", None, None, None)
-        | Some (cfg, tn) -> (
-            let key =
-              Autotune.Tuner.key ~workload:w.Workload.name
-                ~tables:(tn.Workload.tables_of lens) ~opt:srv.opt
-            in
-            match Autotune.Tuner.lookup key with
-            | Some d ->
-                let variant = variant_of d and state = state_of d in
-                let job, memo =
-                  build_with (fun () ->
-                      match d.Autotune.Tuner.point with
-                      | Some p -> tn.Workload.build_tuned p lens
-                      | None -> w.Workload.build lens)
-                in
-                ( job,
-                  memo.Lower.hits,
-                  memo.Lower.misses,
-                  state,
-                  variant,
-                  opt_of d,
-                  None,
-                  None )
-            | None ->
-                (* serve the hand schedule now; tune post-pipeline *)
-                let job, memo = build_with (fun () -> w.Workload.build lens) in
-                (job, memo.Lower.hits, memo.Lower.misses, "miss", "hand", None,
-                 Some (cfg, tn, key), None)))
-  in
-  (* Raggedness signature of the batch — the prelude-cache key, and the
-     flight recorder's handle on "which shape was this". *)
-  let tables_sig =
-    match baked with
-    | Some cj -> cj.Workload.c_sig
-    | None -> Sig.of_tables job.Workload.tables
-  in
-  let tables_hex = Sig.to_hex tables_sig in
-  let defs_of (j : Workload.job) =
-    List.concat_map (fun (k : Lower.kernel) -> k.Lower.aux) j.Workload.kernels
-  in
-  let pkey_of (j : Workload.job) = Prelude_cache.key_of ~tables_sig (defs_of j) in
-  let prelude_with ~pkey (j : Workload.job) =
-    if srv.prelude_cache then
-      match w.Workload.prev_tables with
-      | Some prev_of ->
-          (* Autoregressive workload: on a miss, delta-update from the
-             predecessor step's cached prelude instead of rebuilding.  The
-             predecessor's key reuses this job's defs — def names are
-             length-independent, so the name set matches the one the
-             predecessor was cached under. *)
-          let prev () =
-            match prev_of lens with
-            | None -> None
-            | Some (plens, ptabs) -> (
-                (* The predecessor was usually just served here, so its
-                   baked job memo entry carries the very prelude key its
-                   prelude was cached under — reuse it and skip the Sig
-                   re-derivation.  A memo miss derives the key from the
-                   predicted tables instead. *)
-                let baked_prev =
-                  if srv.compile_cache then
-                    match Cache.find w.Workload.job_cache (jkey_prefix ^ render_lens plens) with
-                    | Some cj when auto = None || cj.Workload.c_epoch = ep ->
-                        Some (cj.Workload.c_pkey, cj.Workload.c_job.Workload.lenv)
-                    | _ -> None
-                  else None
-                in
-                match baked_prev with
-                | Some _ -> baked_prev
-                | None ->
-                    Some
-                      ( Prelude_cache.key_of ~tables_sig:(Sig.of_tables ptabs) (defs_of j),
-                        Workload.lenv_of_tables ptabs ))
-          in
-          Prelude_cache.build_delta ~key:pkey ~prev (fun () -> defs_of j) j.Workload.lenv
-      | None -> Prelude_cache.build_keyed ~key:pkey (fun () -> defs_of j) j.Workload.lenv
-    else (Prelude.build ~dedup_defs:true (defs_of j) j.Workload.lenv, false)
-  in
-  let pkey = match baked with Some cj -> cj.Workload.c_pkey | None -> pkey_of job in
-  let built, prelude_hit =
-    staged "prelude" @@ fun () ->
-    Obs.Span.with_span "serve.prelude" (fun () -> prelude_with ~pkey job)
-  in
-  (* A fresh build with nothing left to tune is the memo's steady state:
-     bake it (with its precomputed signature and prelude key) so the next
-     same-key request replays the compile+prelude front with two bounded
-     lookups.  A pending tune inserts instead after the search, below. *)
-  (match (baked, pending) with
-  | None, None -> insert_cached job state0 variant opt_ov tables_sig pkey
-  | _ -> ());
-  (* Model time: the launches are timed against the supplied prelude (no
-     rebuild inside the pipeline); its host/copy cost is charged only when
-     this request actually built it. *)
-  let pt =
-    staged "launch" @@ fun () ->
-    let lkey =
-      String.concat "|"
-        [
-          w.Workload.name;
-          srv.device.Machine.Device.name;
-          (match srv.engine with `Interp -> "interp" | `Compiled -> "compiled");
-          Ir.Optimize.level_name srv.opt;
-          variant;
-          Sig.canonical tables_sig;
-        ]
-    in
-    match Cache.find launch_memo lkey with
-    | Some pt -> pt
-    | None ->
-        let pt =
-          Machine.Launch.pipeline ~engine:srv.engine ~opt:srv.opt ~prelude:built
-            ~device:srv.device ~lenv:job.Workload.lenv job.Workload.launches
+        let p =
+          staged "launch" @@ fun () ->
+          plan_of srv ~job:m.m_job ~tuner:m.m_tuner ~opt:m.m_opt ~compiled:m.m_compiled built
         in
-        Cache.add launch_memo lkey pt;
-        pt
+        if srv.cache && Option.is_none m.m_pending then Cache.add w.Workload.job_cache key p;
+        (p, Some m)
   in
+  let job = plan.Workload.job in
+  let hit = Option.is_none miss in
+  let nk = List.length job.Workload.kernels in
+  let compile_hits, compile_misses, engine_hits, engine_misses =
+    match miss with
+    | None -> (nk, 0, (if Option.is_none plan.Workload.compiled then 0 else nk), 0)
+    | Some m -> (m.m_memo.Lower.hits, m.m_memo.Lower.misses, m.m_engine_hits, m.m_engine_misses)
+  in
+  (* the prelude's host build and copy are charged only to the request
+     that built it *)
   let prelude_host_ns, prelude_copy_ns =
-    if prelude_hit then (0.0, 0.0) else Machine.Launch.prelude_cost ~device:srv.device built
+    if hit then (0.0, 0.0)
+    else Machine.Launch.prelude_cost ~device:srv.device plan.Workload.built
   in
-  let kernels_ns = pt.Machine.Launch.kernels_ns in
+  let kernels_ns = plan.Workload.pipeline.Machine.Launch.kernels_ns in
   let model_ns = kernels_ns +. prelude_host_ns +. prelude_copy_ns in
-  let counters, out, xstats =
+  let counters, out, arena_hits, arena_misses =
     staged "execute" @@ fun () ->
     if srv.execute then
-      let c, o, s =
-        Obs.Span.with_span "serve.execute" (fun () ->
-            execute ?fill
-              ?opt_override:(Option.map Ir.Optimize.level_of_int opt_ov)
-              srv job built)
+      let c, o, ah, am =
+        Obs.Span.with_span "serve.execute" (fun () -> execute ?fill srv plan)
       in
-      (c, Some o, s)
-    else
-      ( None,
-        None,
-        { x_engine_hits = 0; x_engine_misses = 0; x_arena_hits = 0; x_arena_misses = 0 } )
+      (c, Some o, ah, am)
+    else (None, None, 0, 0)
   in
   let checksum = match out with None -> 0.0 | Some a -> Array.fold_left ( +. ) 0.0 a in
   (* Warm the tuner memo *after* the staged pipeline — the response above
-     was served from the hand schedule (stage names and order unchanged),
-     and the tune's candidate lowerings go through the same compile memo
-     (alpha-invariant keys) and prelude cache, so the winner's artifacts
-     are already hot when the next same-signature request swaps it in. *)
-  let tuner, tune_us =
-    match pending with
-    | None -> (state0, 0.0)
-    | Some (cfg, tn, key) ->
+     was served from the hand schedule — and memoize the winner's plan,
+     so the next request with this shape serves it with one lookup. *)
+  let tune_us =
+    match miss with
+    | Some { m_pending = Some (cfg, tn, tkey); _ } ->
         Autotune.Tuner.note_fallback ();
         let t0 = Obs.Trace_sink.now_us () in
         let tjob (j : Workload.job) =
@@ -464,31 +371,32 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
             (tn.Workload.space lens)
         in
         let d, _ =
-          Lower.with_memo ~cache:srv.compile_cache (fun () ->
-              Autotune.Tuner.tune ~cfg ~device:srv.device ~key ~tables_sig ~hand:(tjob job)
+          Lower.with_memo ~cache:srv.cache (fun () ->
+              Autotune.Tuner.tune ~cfg ~device:srv.device ~key:tkey ~hand:(tjob job)
                 ~candidates ())
         in
-        (* bake the winner into the job memo so the next request with
-           this signature serves it with a single lookup.  The winner's
-           prelude is already hot: the tune routed every candidate build
-           through the prelude cache under the same schedule-invariant
-           [tables_sig], so only the key is derived here. *)
-        (match d.Autotune.Tuner.point with
-        | None -> insert_cached job "hand" "hand" None tables_sig pkey
-        | Some p ->
-            let tuned, _ =
-              Lower.with_memo ~cache:srv.compile_cache (fun () ->
-                  tn.Workload.build_tuned p lens)
-            in
-            insert_cached tuned "tuned" (variant_of d) (opt_of d) tables_sig
-              (pkey_of tuned));
-        ("miss", Obs.Trace_sink.now_us () -. t0)
+        (if srv.cache then
+           let winner =
+             match d.Autotune.Tuner.point with
+             | None -> { plan with Workload.tuner = "hand" }
+             | Some p ->
+                 let tuned, _ =
+                   Lower.with_memo ~cache:true (fun () -> tn.Workload.build_tuned p lens)
+                 in
+                 let opt = p.Autotune.Space.opt in
+                 let compiled, _, _ = compile_job srv (plan_opt srv opt) tuned in
+                 plan_of srv ~job:tuned ~tuner:"tuned" ~opt ~compiled
+                   (prelude_of srv w ~key_of lens tuned)
+           in
+           Cache.add w.Workload.job_cache key winner);
+        Obs.Trace_sink.now_us () -. t0
+    | _ -> 0.0
   in
   Obs.Metrics.observe model_ns_h model_ns;
   Obs.Span.add_attr "model_ns" (Obs.Trace_sink.Float model_ns);
   Obs.Span.add_attr "compile_hits" (Obs.Trace_sink.Int compile_hits);
-  Obs.Span.add_attr "prelude_hit" (Obs.Trace_sink.Str (if prelude_hit then "yes" else "no"));
-  Obs.Span.add_attr "sig" (Obs.Trace_sink.Str tables_hex);
+  Obs.Span.add_attr "prelude_hit" (Obs.Trace_sink.Str (if hit then "yes" else "no"));
+  Obs.Span.add_attr "sig" (Obs.Trace_sink.Str plan.Workload.tables_hex);
   {
     model_ns;
     kernels_ns;
@@ -496,13 +404,13 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     prelude_copy_ns;
     compile_hits;
     compile_misses;
-    prelude_hit;
-    engine_hits = xstats.x_engine_hits;
-    engine_misses = xstats.x_engine_misses;
-    arena_hits = xstats.x_arena_hits;
-    arena_misses = xstats.x_arena_misses;
-    tables_hex;
-    tuner;
+    prelude_hit = hit;
+    engine_hits;
+    engine_misses;
+    arena_hits;
+    arena_misses;
+    tables_hex = plan.Workload.tables_hex;
+    tuner = plan.Workload.tuner;
     tune_us;
     stages_us = List.rev !stages;
     counters;

@@ -1,14 +1,18 @@
-(** The serving loop's core: handle one request = compile (through the
-    {!Cora.Lower} compile cache), build the prelude (through
-    {!Cora.Prelude_cache}, keyed by the batch's raggedness signature),
-    time the pipeline on the machine model, and optionally execute it
-    through the reference interpreter.
+(** The serving loop's core: handle one request = look up the plan for
+    its shape ({!Workload.plan}, memoized per workload instance), then
+    bind, run and unpack it through the selected engine.
 
-    Both caches can be bypassed per server — a bypassed server recompiles
-    and rebuilds everything per request, which is what the differential
-    tests compare against.  [model_ns] is model time (deterministic), not
-    a wall-clock latency; each request runs under a [serve.request] span
-    and lands in the [serve.model_ns] histogram. *)
+    A plan miss builds the plan stage by stage: compile (lowering through
+    the {!Cora.Lower} compile cache, and under the compiled engine each
+    kernel through the engine memo), build the prelude (delta-updated
+    from the predecessor step's plan for autoregressive workloads), and
+    time the pipeline on the machine model.  A hit does none of that.
+
+    The plan memo can be bypassed per server ([~cache:false]) — a bypassed
+    server rebuilds everything per request, which is what the
+    differential tests compare against.  [model_ns] is model time
+    (deterministic), not a wall-clock latency; each request runs under a
+    [serve.request] span and lands in the [serve.model_ns] histogram. *)
 
 (** Interpreter statistics of one request, for differential comparison. *)
 type counters = (string * int) list
@@ -16,12 +20,16 @@ type counters = (string * int) list
 type response = {
   model_ns : float;  (** kernels + (on prelude miss) host build + copy *)
   kernels_ns : float;
-  prelude_host_ns : float;  (** 0 on a prelude-cache hit *)
-  prelude_copy_ns : float;  (** 0 on a prelude-cache hit *)
-  compile_hits : int;  (** compile-cache hits while building this job *)
+  prelude_host_ns : float;  (** 0 on a plan hit *)
+  prelude_copy_ns : float;  (** 0 on a plan hit *)
+  compile_hits : int;
+      (** compile-cache hits while building this job; the kernel count on
+          a plan hit *)
   compile_misses : int;
-  prelude_hit : bool;
-  engine_hits : int;  (** compiled-kernel-memo hits of this request *)
+  prelude_hit : bool;  (** the plan, and so its prelude, was memoized *)
+  engine_hits : int;
+      (** compiled-kernel-memo hits while building this plan; the kernel
+          count on a plan hit (0 under the interpreter) *)
   engine_misses : int;
   arena_hits : int;  (** arena acquisitions recycled / freshly allocated *)
   arena_misses : int;
@@ -34,7 +42,9 @@ type response = {
   tune_us : float;  (** wall time of the post-pipeline tune; 0 unless ["miss"] *)
   stages_us : (string * float) list;
       (** wall-clock duration of each pipeline stage, in request order:
-          [("compile", _); ("prelude", _); ("launch", _); ("execute", _)] *)
+          [("compile", _); ("prelude", _); ("launch", _); ("execute", _)];
+          on a plan hit "compile" is the plan lookup and the next two
+          are empty *)
   counters : counters option;
       (** [None] when execution is off or runs on the compiled engine,
           which counts no scalar work *)
@@ -44,9 +54,10 @@ type response = {
 
 type t
 
-(** [create ()] — a server with both caches on.  [~execute:false] skips
-    execution (machine-model timing only): streams too large to execute
-    still exercise both caches.  [~engine] selects how [~execute:true]
+(** [create ()] — a server with its plan memo on ([~cache:false] builds
+    every request afresh).  [~execute:false] skips execution
+    (machine-model timing only): streams too large to execute still
+    exercise the memo.  [~engine] selects how [~execute:true]
     requests run: the reference interpreter (default) or the compiled
     closure engine — identical outputs, far less overhead, no counters
     (see {!Cora.Exec.engine}).  [~opt] (default [O0], compiled engine
@@ -59,23 +70,21 @@ type t
     stream allocates no fresh float arrays — watch [arena.hit] /
     [arena.miss].
 
-    [~autotune] enables the online schedule autotuner: requests for
-    workloads with a {!Workload.tunable} descriptor consult the tuner
+    [~autotune] enables the online schedule autotuner: a plan miss for a
+    workload with a {!Workload.tunable} descriptor consults the tuner
     memo (keyed by workload name, {!Cora.Sig.of_tables} over the length
-    tables, and [~opt]); a hit with a winning point serves the tuned
+    tables, and [~opt]); a hit with a winning point plans the tuned
     schedule, a miss serves the hand schedule and runs a budgeted
-    two-stage search after the response's pipeline completes — so tuning
-    never delays the response's own stages, and every response stays
-    bitwise-identical to an untuned replay (the candidate spaces only
-    move data-axis loop structure). *)
+    two-stage search after the response's pipeline completes, then
+    memoizes the winner's plan — so tuning never delays the response's
+    own stages, and every response stays bitwise-identical to an untuned
+    replay (the candidate spaces only move data-axis loop structure). *)
 val create :
   ?device:Machine.Device.t ->
-  ?compile_cache:bool -> ?prelude_cache:bool -> ?execute:bool ->
+  ?cache:bool -> ?execute:bool ->
   ?engine:Cora.Exec.engine -> ?opt:Ir.Optimize.level ->
   ?autotune:Autotune.Tuner.cfg -> unit -> t
 
-val compile_cache_enabled : t -> bool
-val prelude_cache_enabled : t -> bool
 val autotune_enabled : t -> bool
 val engine : t -> Cora.Exec.engine
 
@@ -84,7 +93,8 @@ val opt_level : t -> Ir.Optimize.level
 
 (** [with_engine srv e] — the same server configuration with a different
     execution engine (used by {!Frontend} to build the [`Interp]
-    fallback twin of a [`Compiled] server). *)
+    fallback twin of a [`Compiled] server).  The engine is part of every
+    plan key, so the twin builds and hits plans of its own. *)
 val with_engine : t -> Cora.Exec.engine -> t
 
 (** Handle one request: workload + raggedness vector.
@@ -92,10 +102,12 @@ val with_engine : t -> Cora.Exec.engine -> t
     [?stage_check] is invoked with the stage name ("compile", "prelude",
     "launch", "execute") immediately before each pipeline stage; raising
     from it aborts the request between stages — the deadline-enforcement
-    hook of {!Frontend}.  Per-request compile hit/miss counts are
-    returned from the lowering calls themselves (scoped through
-    {!Cora.Lower.with_memo}), so they stay exact when requests run
-    concurrently on several domains.
+    hook of {!Frontend}.  Per-request hit/miss counts come from the
+    plan build itself (lowering scoped through {!Cora.Lower.with_memo},
+    engine-memo flags from {!Cora.Exec.compile_cached}), never from
+    global counter deltas, so they stay exact when requests run
+    concurrently on several domains.  An autoregressive workload's plan
+    miss that delta-updates its prelude counts [plan.delta].
 
     [?fill] overrides {!default_fill} for input tensors (read but never
     written).  {!Serving.Batcher} uses it to fill a mega-batch's inputs
@@ -108,8 +120,10 @@ val handle :
   ?fill:(string -> int list -> float) ->
   t -> Workload.t -> int array -> response
 
-(** Drop all cache contents (compile memo, prelude builds, the
-    compiled-kernel memo of the engine, and the tuner memo). *)
+(** Drop all serving state: every workload's plans, the compile memo,
+    the engine's compiled-kernel memo and the tuner memo.  The one way to
+    invalidate serving state — plans are immutable and never go stale on
+    their own, since each key names everything its plan depends on. *)
 val reset_caches : unit -> unit
 
 (** Deterministic input fill used for every tensor that is read but never

@@ -22,14 +22,14 @@ type tunable = {
   build_tuned : Autotune.Space.point -> int array -> job;
 }
 
-type cached_job = {
-  c_epoch : int;
-  c_job : job;
-  c_state : string;
-  c_variant : string;
-  c_opt : int option;  (** tuned point's engine opt-level override *)
-  c_sig : Sig.t;
-  c_pkey : Sig.t;
+type plan = {
+  job : job;
+  tuner : string;
+  opt : int option;
+  tables_hex : string;
+  built : Prelude.built;
+  pipeline : Machine.Launch.pipeline_time;
+  compiled : Runtime.Engine.compiled list option;
 }
 
 type t = {
@@ -38,8 +38,8 @@ type t = {
   build : int array -> job;
   batching : batching option;
   tunable : tunable option;
-  prev_tables : (int array -> (int array * (string * int array) list) option) option;
-  job_cache : (string, cached_job) Cache.t;
+  prev_lens : (int array -> int array option) option;
+  job_cache : (string, plan) Cache.t;
 }
 
 (* Per-instance memos (see the .mli note on why they must not be shared
@@ -48,7 +48,7 @@ type t = {
    also registered process-wide so {!Server.reset_caches} can wipe them
    — a test that derives a workload with an effectful [build] (e.g. a
    gate or a deliberate raise) relies on the reset actually emptying the
-   job memo. *)
+   plan memo. *)
 let clearers : (unit -> unit) list ref = ref []
 let clearers_lock = Mutex.create ()
 
@@ -64,13 +64,13 @@ let clear_caches () =
   List.iter (fun f -> f ()) cs
 
 let job_cache_of name =
-  let c = Cache.create ~name:("job_build." ^ name) ~capacity:64 () in
+  let c = Cache.create ~name:("plan." ^ name) ~capacity:64 () in
   register_clearer c;
   c
 
 (* The invariant every adapter maintains: the runtime environment is built
-   from the tables and nothing else, so [Sig.of_tables tables] determines
-   the prelude build and can safely key the cache. *)
+   from the tables and nothing else, so the raggedness vector the tables
+   come from determines the prelude build and can safely key the plan. *)
 let lenv_of_tables tables = List.map (fun (n, a) -> Lenfun.of_array n a) tables
 
 (* ---- batching descriptor helpers ----
@@ -257,7 +257,7 @@ let fig1 ?(batch = 6) ?(max_len = 10) () : t =
     build;
     batching = Some batching;
     tunable = Some tunable;
-    prev_tables = None;
+    prev_lens = None;
     job_cache = job_cache_of "fig1";
   }
 
@@ -363,7 +363,7 @@ let vgemm ?(batch = 4) ?(tile = 32)
     build;
     batching = Some batching;
     tunable = Some tunable;
-    prev_tables = None;
+    prev_lens = None;
     job_cache = job_cache_of "vgemm";
   }
 
@@ -414,7 +414,7 @@ let trmm ?(tile = 16) ?(sizes = [| 32; 48; 64 |]) () : t =
     build;
     batching = None;
     tunable = Some tunable;
-    prev_tables = None;
+    prev_lens = None;
     job_cache = job_cache_of "trmm";
   }
 
@@ -508,7 +508,7 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
     build;
     batching = Some batching;
     tunable = Some tunable;
-    prev_tables = None;
+    prev_lens = None;
     job_cache = job_cache_of "encoder";
   }
 
@@ -580,16 +580,14 @@ let decode ?(batch = 4) ?(max_src = 24) () : t =
     batching = Some batching;
     tunable = Some tunable;
     (* One decode step extends every cache row by one token, so the
-       predecessor's tables are the current lengths minus one.  Rows
+       predecessor's lengths are the current ones minus one.  Rows
        already at length 1 have no predecessor (that step was the
        prefill), so the first decode step after prefill rebuilds. *)
-    prev_tables =
+    prev_lens =
       Some
         (fun lens ->
           if Array.length lens = 0 || Array.exists (fun l -> l <= 1) lens then None
-          else
-            let plens = Array.map (fun l -> l - 1) lens in
-            Some (plens, [ ("tgt", Array.make (Array.length lens) 1); ("src", plens) ]));
+          else Some (Array.map (fun l -> l - 1) lens));
     job_cache = job_cache_of "decode";
   }
 

@@ -3,10 +3,11 @@
 
     Each adapter rebuilds its operator and schedule from scratch on every
     request — exactly what a serving system presented with "the same"
-    model would do — so the compile cache ({!Cora.Lower.with_memo}) is what
-    makes repeated structures cheap, and the concrete tables are what key
-    the prelude cache.  [job.lenv] is constructed from [job.tables] alone,
-    so {!Cora.Sig.of_tables} over the tables fully determines the prelude
+    model would do — so the plan memo ([job_cache]) is what makes a
+    repeated shape cheap, and the compile cache ({!Cora.Lower.with_memo})
+    what makes repeated structures cheap on a plan miss.  [job.lenv] is
+    constructed from [job.tables] alone, and the tables from the
+    raggedness vector, so the vector fully determines the prelude
     build. *)
 
 type job = {
@@ -72,25 +73,21 @@ type tunable = {
       (** compile the job at one candidate point *)
 }
 
-(** One memoized serving decision: the built job, the tuner verdict that
-    produced it, and the request-invariant key derivations a repeat
-    request would otherwise recompute — the tables' raggedness signature
-    and the prelude-cache key.  A hit replays the whole compile+prelude
-    front of the pipeline with two bounded-cache lookups and no [Sig] or
-    def-list work.  Deliberately {e not} the built prelude itself: the
-    prelude cache's LRU bound must keep governing prelude memory, so an
-    evicted prelude rebuilds even on a job-memo hit.  [c_epoch] is
-    {!Autotune.Tuner.epoch} at insertion time — autotuned entries are
-    ignored after a {!Autotune.Tuner.clear}, so the Sig-keyed tuner memo
-    stays the source of truth. *)
-type cached_job = {
-  c_epoch : int;
-  c_job : job;
-  c_state : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
-  c_variant : string;  (** schedule variant label for the launch-model key *)
-  c_opt : int option;  (** tuned point's engine opt-level override, if any *)
-  c_sig : Cora.Sig.t;  (** [Sig.of_tables c_job.tables], precomputed *)
-  c_pkey : Cora.Sig.t;  (** {!Cora.Prelude_cache.key_of}, precomputed *)
+(** One serving plan: everything a request of one shape needs, built
+    once on a miss and replayed by every later hit with one lookup —
+    the job, the tuner verdict that chose it, the raggedness signature,
+    the built prelude, the modelled launch time and (compiled engine)
+    each kernel's compiled closures.  Immutable, hence shareable across
+    serving domains. *)
+type plan = {
+  job : job;
+  tuner : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
+  opt : int option;  (** tuned point's engine opt-level override, if any *)
+  tables_hex : string;  (** {!Cora.Sig.to_hex} of [Sig.of_tables job.tables] *)
+  built : Cora.Prelude.built;
+  pipeline : Machine.Launch.pipeline_time;
+  compiled : Runtime.Engine.compiled list option;
+      (** one per [job.kernels], in order; [None] under the interpreter *)
 }
 
 type t = {
@@ -102,44 +99,38 @@ type t = {
       (** [None] (e.g. trmm) — the batcher serves requests as singletons *)
   tunable : tunable option;
       (** [None] — the tuner always serves the hand schedule *)
-  prev_tables : (int array -> (int array * (string * int array) list) option) option;
+  prev_lens : (int array -> int array option) option;
       (** Predecessor-step shape for incremental prelude maintenance.
           [Some f] marks an autoregressive workload: [f lens] returns the
-          raggedness vector and the tables (same names, same order as
-          [job.tables]) of the step whose prelude the current step's can
-          be delta-updated from, or [None] when this step has no
-          predecessor (e.g. right after prefill).  The vector lets the
-          server look the predecessor up in [job_cache] and reuse its
-          baked prelude key; the tables derive the key on a memo miss.
-          Correctness never depends on the prediction — a predecessor
-          absent from the prelude cache just falls back to a full
-          build. *)
-  job_cache : (string, cached_job) Cora.Cache.t;
-      (** per-instance memo of built jobs with their tuner decision baked
-          in, keyed by (serving mode, raggedness vector) — mode-prefixed
-          (["hand"] vs ["auto|<opt>"]) because the tuner's choice depends
-          on the opt level while the hand build does not.  A repeat
-          request skips job construction, the per-kernel [Sig]
-          computation a compile-memo hit still pays, *and* the tuner-memo
-          key derivation: steady-state autotuned serving does exactly one
-          lookup, same as hand serving.  Per instance, because [build]
-          closes over this value's configuration: two workloads with the
-          same name but different configurations can never collide.
-          Consulted by {!Server.handle} only when its compile cache is
-          enabled, so a cache-bypassed differential replay rebuilds from
-          scratch. *)
+          raggedness vector of the step whose prelude the current step's
+          can be delta-updated from, or [None] when this step has no
+          predecessor (e.g. right after prefill).  On a plan miss the
+          server looks the predecessor's plan up in [job_cache] and
+          updates its prelude.  Correctness never depends on the
+          prediction — a predecessor without a plan just falls back to a
+          full build. *)
+  job_cache : (string, plan) Cora.Cache.t;
+      (** per-instance plan memo, keyed by serving mode (hand or
+          autotuned), engine, opt level, device and raggedness vector.
+          A repeat request does one lookup here and nothing else before
+          execution: no job construction, no [Sig] work, no prelude or
+          launch-model evaluation, no engine-memo lookup.  Per instance,
+          because [build] closes over this value's configuration: two
+          workloads with the same name but different configurations can
+          never collide.  Bypassed by a [~cache:false] server, so a
+          differential replay rebuilds from scratch. *)
 }
 
 (** Empty every instance's [job_cache], across all workloads ever
     constructed in this process.  Called by {!Server.reset_caches}: a
-    reset must leave no memoized jobs behind, or a workload derived with
+    reset must leave no plans behind, or a workload derived with
     an effectful [build] (tests do this to gate or fail a worker) would
     have its build skipped. *)
 val clear_caches : unit -> unit
 
 (** Build a runtime environment from concrete tables — the adapters'
     shared invariant: the environment is the tables and nothing else
-    (which is what lets {!Cora.Sig.of_tables} key the prelude cache). *)
+    (which is what lets the raggedness vector key the plan memo). *)
 val lenv_of_tables : (string * int array) list -> Cora.Lenfun.env
 
 (** Fig. 1 of the paper: [O\[b\]\[j\] = 2 * A\[b\]\[j\]] with ragged [j],
@@ -153,8 +144,8 @@ val vgemm : ?batch:int -> ?tile:int -> ?dims_choices:int array -> unit -> t
 
 (** Triangular matmul, split + balanced (§7.1).  Raggedness vector =
     [\[| n |\]] drawn from [sizes]; the closed-form [tri] length function
-    is materialised as an explicit table so it can key the prelude
-    cache. *)
+    is materialised as an explicit table, so the environment is the
+    tables and nothing else. *)
 val trmm : ?tile:int -> ?sizes:int array -> unit -> t
 
 (** Transformer encoder layer (§7.2), batch lengths sampled from
@@ -166,7 +157,7 @@ val encoder : ?base:bool -> ?batch:int -> dataset:Workloads.Datasets.t -> unit -
     the new token attends to a KV cache of [src(b)] entries.  Raggedness
     vector = the cache lengths; [sample] draws the {e initial} (prefill)
     lengths and a decode stream grows them by one per step.  Sets
-    [prev_tables] so the serving path delta-updates each step's prelude
+    [prev_lens] so the serving path delta-updates each step's prelude
     from its predecessor's. *)
 val decode : ?batch:int -> ?max_src:int -> unit -> t
 

@@ -217,11 +217,10 @@ let test_serving_tuner_states () =
   Alcotest.(check bool) "enabled flag" true (Serving.Server.autotune_enabled srv);
   Alcotest.(check bool) "disabled flag" false (Serving.Server.autotune_enabled off)
 
-(* The hot-path memos behind steady-state serving: the per-workload job
-   memo (decision baked in) and the launch-model memo both register in
-   the cache stats registry, a memo-hit request is still bitwise equal
-   to a cache-bypassed build, and [Server.reset_caches] really empties
-   the per-workload memos (the tuner state machine restarts at "miss"). *)
+(* The plan memo behind steady-state serving: it registers in the cache
+   stats registry, a plan-hit request is still bitwise equal to a
+   cache-bypassed build, and [Server.reset_caches] really empties the
+   per-workload memos (the tuner state machine restarts at "miss"). *)
 let test_hot_path_memos () =
   Serving.Server.reset_caches ();
   let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
@@ -230,13 +229,11 @@ let test_hot_path_memos () =
   let r1 = Serving.Server.handle srv w lens in
   let r2 = Serving.Server.handle srv w lens in
   let reg = Cora.Cache.registered_stats () in
-  Alcotest.(check bool) "launch-model memo registered" true
-    (List.mem_assoc "launch_model" reg);
-  Alcotest.(check bool) "per-workload job memo registered" true
-    (List.mem_assoc "job_build.fig1" reg);
-  (* the baked entry serves the same bytes a fresh cache-bypassed build does *)
+  Alcotest.(check bool) "per-workload plan memo registered" true
+    (List.mem_assoc "plan.fig1" reg);
+  (* the plan serves the same bytes a fresh cache-bypassed build does *)
   let bypass =
-    Serving.Server.create ~compile_cache:false ~prelude_cache:false ~execute:true ()
+    Serving.Server.create ~cache:false ~execute:true ()
   in
   let rb = Serving.Server.handle bypass w lens in
   let out r = Option.get r.Serving.Server.out in
@@ -252,38 +249,31 @@ let test_hot_path_memos () =
   Alcotest.(check string) "reset restarts the state machine" "miss"
     r4.Serving.Server.tuner
 
-(* [Prelude_cache.build_keyed] with a precomputed [key_of] must be
-   observationally the [build_cached] it replaces: same key, hit after
-   the same first build, defs thunk never forced on a hit. *)
-let test_prelude_keyed () =
+(* A tuned plan hit is one lookup: the tuner decision is baked into the
+   plan, so the request neither derives the tuner key nor consults the
+   tuner memo, and a hand server on the same workload instance keeps a
+   plan of its own. *)
+let test_tuned_plan_lookup () =
   Serving.Server.reset_caches ();
   let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
-  let job = w.Serving.Workload.build [| 5; 2; 1; 3 |] in
-  let tables_sig = Cora.Sig.of_tables job.Serving.Workload.tables in
-  let defs =
-    List.concat_map
-      (fun (k : Cora.Lower.kernel) -> k.Cora.Lower.aux)
-      job.Serving.Workload.kernels
+  let srv = Serving.Server.create ~autotune:Autotune.Tuner.default_cfg () in
+  let lens = [| 6; 4; 3; 1 |] in
+  ignore (Serving.Server.handle srv w lens);
+  let lookups () =
+    let t = Autotune.Tuner.memo_stats () in
+    t.Cora.Cache.hits + t.Cora.Cache.misses
   in
-  let key = Cora.Prelude_cache.key_of ~tables_sig defs in
-  let _, hit1 =
-    Cora.Prelude_cache.build_keyed ~key (fun () -> defs) job.Serving.Workload.lenv
-  in
-  Alcotest.(check bool) "first build misses" false hit1;
-  let _, hit2 =
-    Cora.Prelude_cache.build_cached ~tables_sig defs job.Serving.Workload.lenv
-  in
-  Alcotest.(check bool) "build_cached derives the same key" true hit2;
-  let forced = ref false in
-  let _, hit3 =
-    Cora.Prelude_cache.build_keyed ~key
-      (fun () ->
-        forced := true;
-        defs)
-      job.Serving.Workload.lenv
-  in
-  Alcotest.(check bool) "keyed lookup hits" true hit3;
-  Alcotest.(check bool) "defs not forced on a hit" false !forced
+  let plans () = Cora.Cache.stats w.Serving.Workload.job_cache in
+  let t0 = lookups () and p0 = plans () in
+  let r = Serving.Server.handle srv w lens in
+  Alcotest.(check string) "hit serves the tuned plan" "tuned" r.Serving.Server.tuner;
+  Alcotest.(check int) "tuner memo untouched" t0 (lookups ());
+  Alcotest.(check int) "one plan lookup, a hit" (p0.Cora.Cache.hits + 1)
+    (plans ()).Cora.Cache.hits;
+  Alcotest.(check int) "no plan miss" p0.Cora.Cache.misses (plans ()).Cora.Cache.misses;
+  let hand = Serving.Server.handle (Serving.Server.create ()) w lens in
+  Alcotest.(check string) "hand server builds its own plan" "off" hand.Serving.Server.tuner;
+  Alcotest.(check bool) "hand server missed" false hand.Serving.Server.prelude_hit
 
 let () =
   let bitwise =
@@ -311,7 +301,7 @@ let () =
         @ [
             Alcotest.test_case "tuner state miss -> tuned" `Quick test_serving_tuner_states;
             Alcotest.test_case "hot-path memos" `Quick test_hot_path_memos;
-            Alcotest.test_case "prelude keyed lookup" `Quick test_prelude_keyed;
+            Alcotest.test_case "tuned plan hit: one lookup" `Quick test_tuned_plan_lookup;
           ]
       );
     ]

@@ -155,7 +155,7 @@ let check_bitwise name w tile members_lens =
   (* a cache-bypassed solo server: the ground truth is independent of
      anything the batched path shares *)
   let bypass =
-    Serving.Server.create ~compile_cache:false ~prelude_cache:false ~execute:true
+    Serving.Server.create ~cache:false ~execute:true
       ~engine:`Compiled ()
   in
   Array.iteri

@@ -1,5 +1,5 @@
-(* Bounds inference for fused vloops (§B.3) and the grid-search
-   auto-scheduler (§6). *)
+(* Bounds inference for fused vloops (§B.3) and the cost model's
+   memoisation, which makes simulation-guided scheduling (§6) feasible. *)
 
 open Cora
 
@@ -41,24 +41,17 @@ let test_fo_binary_search () =
 
 (* ---------------- autotune ---------------- *)
 
-let test_autotune_improves_or_matches () =
-  let lens = Workloads.Datasets.sample_sorted Workloads.Datasets.squad ~batch:64 ~seed:1 in
-  let cfg = Transformer.Config.base ~lens in
-  let r = Transformer.Autotune.tune_qkv ~device:Machine.Device.v100 cfg in
-  Alcotest.(check bool) "tuned no worse than hand schedule" true
-    (r.Transformer.Autotune.best_ns <= r.Transformer.Autotune.default_ns +. 1.0);
-  Alcotest.(check int) "whole space evaluated" 12
-    (List.length r.Transformer.Autotune.evaluated)
-
+(* A tuned schedule (gemm tiles off their defaults, as the schedule
+   autotuner picks them) still computes a correct projection. *)
 let test_autotune_kernel_correct () =
-  (* a tuned schedule still computes a correct projection *)
   let lens = [| 6; 3; 1 |] in
   let cfg = Transformer.Config.tiny ~lens in
   let lenv = Transformer.Config.lenv cfg in
-  let t = Transformer.Builder.make_tensors cfg in
-  let k =
-    Transformer.Autotune.qkv_with ~tensors:t cfg { Transformer.Autotune.ftile = 4; jtile = 8 }
+  let built =
+    Transformer.Builder.build ~jtile:8 ~ftile:4 ~target:Transformer.Builder.Gpu cfg
   in
+  let t = built.Transformer.Builder.tensors in
+  let k = built.Transformer.Builder.qkv_proj in
   let h = cfg.Transformer.Config.hidden in
   let w = Transformer.Reference.random_weights cfg ~seed:2 in
   let fill_dense (tensor : Tensor.t) a =
@@ -89,6 +82,7 @@ let test_autotune_kernel_correct () =
         done
       done)
     lens
+
 
 (* The cost model memoises For-subtree compilation; on a transformer-sized
    pipeline the blocks of each kernel share their body subtree, so the
@@ -122,8 +116,6 @@ let () =
         ] );
       ( "autotune",
         [
-          Alcotest.test_case "grid search beats hand schedule" `Quick
-            test_autotune_improves_or_matches;
           Alcotest.test_case "tuned kernel builds" `Quick test_autotune_kernel_correct;
           Alcotest.test_case "cost-model memoisation hits" `Quick test_cost_model_memo_hits;
         ] );

@@ -63,7 +63,7 @@ let test_stress () =
   let stream = Serving.Stream.generate ~workload:base ~pool:4 ~n:24 ~seed:3 () in
   (* serial ground truth from a cache-bypassing server: independent of
      everything the front-end and the caches do *)
-  let bypass = Serving.Server.create ~compile_cache:false ~prelude_cache:false () in
+  let bypass = Serving.Server.create ~cache:false () in
   let serial = Serving.Stream.replay bypass base stream in
   let srv = Serving.Server.create () in
   let fe = Serving.Frontend.create ~domains:4 ~capacity:8 srv in
@@ -96,7 +96,7 @@ let test_batched_stress () =
   in
   (* serial unbatched ground truth from a cache-bypassing server *)
   let bypass =
-    Serving.Server.create ~compile_cache:false ~prelude_cache:false ()
+    Serving.Server.create ~cache:false ()
   in
   let serial = List.map (fun (w, lens) -> Serving.Server.handle bypass w lens) reqs in
   let srv = Serving.Server.create () in

@@ -165,7 +165,7 @@ let test_decode_trace_concurrent_vs_serial () =
   Fun.protect
     ~finally:(fun () -> Prelude.set_delta_check false)
     (fun () ->
-      let delta_c = Obs.Metrics.counter "prelude_cache.delta" in
+      let delta_c = Obs.Metrics.counter "plan.delta" in
       let d0 = Obs.Metrics.value delta_c in
       let srv = Serving.Server.create () in
       let fe = Serving.Frontend.create ~domains:3 srv in

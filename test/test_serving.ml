@@ -4,10 +4,13 @@
      server replay the same 3-repeat stream and must produce bit-identical
      outputs and identical interpreter counters, while the caching server's
      hit counters go 0 -> nonzero on repeats;
-   - hit rate: a x10 repeated-batch stream must hit both caches on every
+   - hit rate: a x10 repeated-batch stream must hit the plan memo on every
      request after the first (>= 80%), with zero prelude host work on hits;
-   - invalidation: mutating one sequence length must miss the prelude cache
+   - invalidation: mutating one sequence length must miss the plan memo
      (fresh build) and still produce results identical to an uncached run;
+   - plans: the memo is bounded, a warm compiled hit never touches the
+     engine memo, and a compiled server and its interpreter twin keep
+     plans of their own;
    - determinism: regenerating a stream from the same seed replays to the
      same checksums. *)
 
@@ -46,7 +49,7 @@ let three_repeat_stream (w : Serving.Workload.t) seed =
 let test_differential (w : Serving.Workload.t) () =
   Serving.Server.reset_caches ();
   let cached = Serving.Server.create () in
-  let bypass = Serving.Server.create ~compile_cache:false ~prelude_cache:false () in
+  let bypass = Serving.Server.create ~cache:false () in
   let items = three_repeat_stream w 7 in
   let ra = List.map (Serving.Server.handle cached w) items in
   let rb = List.map (Serving.Server.handle bypass w) items in
@@ -75,8 +78,8 @@ let test_differential (w : Serving.Workload.t) () =
       Alcotest.(check bool) "bypass: no prelude hit" false r.Serving.Server.prelude_hit)
     rb
 
-(* The acceptance scenario: the same raggedness signature x10 must hit both
-   caches on at least 80% of requests, with zero prelude host work on hits. *)
+(* The acceptance scenario: the same raggedness signature x10 must hit the
+   plan memo on at least 80% of requests, with zero prelude host work on hits. *)
 let test_hit_rate_10x () =
   Serving.Server.reset_caches ();
   let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
@@ -108,7 +111,7 @@ let test_hit_rate_10x () =
   let out0 = get_out (List.hd rs) in
   List.iter (fun r -> Alcotest.(check bool) "same output" true (bits_equal out0 (get_out r))) rs
 
-(* Regression: prelude-cache invalidation.  Mutating one sequence length
+(* Regression: plan invalidation.  Mutating one sequence length
    must change the raggedness signature (fresh build, a miss) and produce
    exactly the results an uncached server computes for the mutated batch —
    i.e. stale reuse is impossible. *)
@@ -128,7 +131,7 @@ let test_invalidation () =
     r2.Serving.Server.prelude_hit;
   Alcotest.(check bool) "mutated batch: host work nonzero" true
     (r2.Serving.Server.prelude_host_ns > 0.0);
-  let bypass = Serving.Server.create ~compile_cache:false ~prelude_cache:false () in
+  let bypass = Serving.Server.create ~cache:false () in
   let rb = Serving.Server.handle bypass w mutated in
   Alcotest.(check bool) "mutated batch: results identical to uncached" true
     (bits_equal (get_out r2) (get_out rb));
@@ -138,47 +141,86 @@ let test_invalidation () =
   Alcotest.(check bool) "original shape unchanged" true
     (bits_equal (get_out r1) (get_out r3))
 
-(* The caches are bounded: serving more distinct shapes than the prelude
-   cache holds must evict (never grow past the cap), keep the most recent
-   shapes, and never change results. *)
-let test_prelude_cache_cap () =
+(* The plan memo is bounded: serving more distinct shapes than it holds
+   must evict (never grow past the cap), keep the most recent shapes, and
+   never change results. *)
+let test_plan_memo_cap () =
   Serving.Server.reset_caches ();
-  let saved = Cora.Prelude_cache.capacity () in
-  Fun.protect
-    ~finally:(fun () ->
-      Cora.Prelude_cache.set_capacity saved;
-      Serving.Server.reset_caches ())
-    (fun () ->
-      Cora.Prelude_cache.set_capacity 2;
-      Alcotest.(check int) "cap applied" 2 (Cora.Prelude_cache.capacity ());
-      let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
-      let srv = Serving.Server.create () in
-      let shapes =
-        [ [| 1; 2; 3; 4 |]; [| 2; 3; 4; 5 |]; [| 3; 4; 5; 6 |]; [| 4; 5; 6; 1 |] ]
-      in
-      let evicted () =
-        Obs.Metrics.value (Obs.Metrics.counter "prelude_cache.evicted")
-      in
-      let before = evicted () in
-      List.iter (fun s -> ignore (Serving.Server.handle srv w s)) shapes;
-      Alcotest.(check bool) "size never exceeds cap" true
-        (Cora.Prelude_cache.size () <= 2);
-      Alcotest.(check bool) "evictions counted" true (evicted () > before);
-      (* LRU: the last-served shape survived, the first was evicted *)
-      let recent = Serving.Server.handle srv w (List.nth shapes 3) in
-      Alcotest.(check bool) "most recent shape still hits" true
-        recent.Serving.Server.prelude_hit;
-      let oldest = Serving.Server.handle srv w (List.nth shapes 0) in
-      Alcotest.(check bool) "oldest shape was evicted" false
-        oldest.Serving.Server.prelude_hit;
-      (* an evicted entry is rebuilt, not wrong *)
-      let bypass = Serving.Server.create ~compile_cache:false ~prelude_cache:false () in
-      let rb = Serving.Server.handle bypass w (List.nth shapes 0) in
-      Alcotest.(check bool) "rebuilt results identical to uncached" true
-        (bits_equal (get_out oldest) (get_out rb));
-      (* the clamp: a nonsensical cap becomes 1, not 0 *)
-      Cora.Prelude_cache.set_capacity 0;
-      Alcotest.(check int) "cap clamps to 1" 1 (Cora.Prelude_cache.capacity ()))
+  let w = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
+  let plans = w.Serving.Workload.job_cache in
+  Cora.Cache.set_capacity plans 2;
+  Alcotest.(check int) "cap applied" 2 (Cora.Cache.capacity plans);
+  let srv = Serving.Server.create () in
+  let shapes = [ [| 1; 2; 3; 4 |]; [| 2; 3; 4; 5 |]; [| 3; 4; 5; 6 |]; [| 4; 5; 6; 1 |] ] in
+  let evicted () = Obs.Metrics.value (Obs.Metrics.counter "plan.fig1.evicted") in
+  let before = evicted () in
+  List.iter (fun s -> ignore (Serving.Server.handle srv w s)) shapes;
+  Alcotest.(check bool) "size never exceeds cap" true (Cora.Cache.size plans <= 2);
+  Alcotest.(check bool) "evictions counted" true (evicted () > before);
+  (* LRU: the last-served shape survived, the first was evicted *)
+  let recent = Serving.Server.handle srv w (List.nth shapes 3) in
+  Alcotest.(check bool) "most recent shape still hits" true recent.Serving.Server.prelude_hit;
+  let oldest = Serving.Server.handle srv w (List.nth shapes 0) in
+  Alcotest.(check bool) "oldest shape was evicted" false oldest.Serving.Server.prelude_hit;
+  (* an evicted entry is rebuilt, not wrong *)
+  let bypass = Serving.Server.create ~cache:false () in
+  let rb = Serving.Server.handle bypass w (List.nth shapes 0) in
+  Alcotest.(check bool) "rebuilt results identical to uncached" true
+    (bits_equal (get_out oldest) (get_out rb));
+  (* the clamp: a nonsensical cap becomes 1, not 0 *)
+  Cora.Cache.set_capacity plans 0;
+  Alcotest.(check int) "cap clamps to 1" 1 (Cora.Cache.capacity plans)
+
+(* A warm compiled request is one plan lookup: it reports every kernel as
+   an engine-memo hit without touching the memo, and serves the bytes a
+   cache-bypassed interpreter server computes. *)
+let test_warm_plan_hit () =
+  Serving.Server.reset_caches ();
+  let w = Serving.Workload.encoder ~batch:3 ~dataset:toy_dataset () in
+  let srv = Serving.Server.create ~engine:`Compiled () in
+  let lens = [| 7; 4; 2 |] in
+  let nk = List.length (w.Serving.Workload.build lens).Serving.Workload.kernels in
+  let cold = Serving.Server.handle srv w lens in
+  Alcotest.(check int) "cold: every kernel looked up once" nk
+    (cold.Serving.Server.engine_hits + cold.Serving.Server.engine_misses);
+  let ctr name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  let hits0 = ctr "engine_cache.hit" and misses0 = ctr "engine_cache.miss" in
+  let warm = Serving.Server.handle srv w lens in
+  Alcotest.(check bool) "warm: plan hit" true warm.Serving.Server.prelude_hit;
+  Alcotest.(check int) "warm: engine_hits = kernel count" nk warm.Serving.Server.engine_hits;
+  Alcotest.(check int) "warm: no engine misses" 0 warm.Serving.Server.engine_misses;
+  Alcotest.(check int) "engine_cache.hit unchanged" hits0 (ctr "engine_cache.hit");
+  Alcotest.(check int) "engine_cache.miss unchanged" misses0 (ctr "engine_cache.miss");
+  let rb = Serving.Server.handle (Serving.Server.create ~cache:false ()) w lens in
+  Alcotest.(check bool) "warm output bitwise equal to uncached" true
+    (bits_equal (get_out warm) (get_out rb))
+
+(* The front end's degraded twin: an O3 compiled server and its [`Interp]
+   twin alternating on one workload instance and one shape each build and
+   then hit a plan of their own, with bitwise-equal outputs; only the
+   interpreter counts scalar work. *)
+let test_engine_twin_plans () =
+  Serving.Server.reset_caches ();
+  let w = Serving.Workload.encoder ~batch:3 ~dataset:toy_dataset () in
+  let srv = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+  let twin = Serving.Server.with_engine srv `Interp in
+  let lens = [| 6; 5; 3 |] in
+  let rs = List.map (fun s -> Serving.Server.handle s w lens) [ srv; twin; srv; twin ] in
+  List.iteri
+    (fun i (r : Serving.Server.response) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d: plan hit only on the repeat" i)
+        (i >= 2) r.Serving.Server.prelude_hit;
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d: output bitwise equal to the first" i)
+        true
+        (bits_equal (get_out (List.hd rs)) (get_out r));
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d: counters only on the interpreter" i)
+        (i mod 2 = 1)
+        (Option.is_some r.Serving.Server.counters))
+    rs;
+  Alcotest.(check int) "one plan per engine" 2 (Cora.Cache.size w.Serving.Workload.job_cache)
 
 (* Same bound on the compile memo. *)
 let test_compile_memo_cap () =
@@ -193,7 +235,7 @@ let test_compile_memo_cap () =
       let w1 = Serving.Workload.fig1 ~batch:4 ~max_len:6 () in
       let w2 = Serving.Workload.trmm ~tile:4 ~sizes:[| 8; 12 |] () in
       let srv = Serving.Server.create () in
-      let bypass = Serving.Server.create ~compile_cache:false ~prelude_cache:false () in
+      let bypass = Serving.Server.create ~cache:false () in
       let evicted () =
         Obs.Metrics.value (Obs.Metrics.counter "compile_cache.evicted")
       in
@@ -243,7 +285,9 @@ let () =
         [
           Alcotest.test_case "x10 repeated batch hits >= 80%" `Quick test_hit_rate_10x;
           Alcotest.test_case "length mutation invalidates" `Quick test_invalidation;
-          Alcotest.test_case "prelude cache cap respected" `Quick test_prelude_cache_cap;
+          Alcotest.test_case "plan memo cap respected" `Quick test_plan_memo_cap;
+          Alcotest.test_case "warm plan hit skips the engine memo" `Quick test_warm_plan_hit;
+          Alcotest.test_case "compiled and interp twin plans" `Quick test_engine_twin_plans;
           Alcotest.test_case "compile memo cap respected" `Quick test_compile_memo_cap;
           Alcotest.test_case "stream determinism" `Quick test_determinism;
         ] );

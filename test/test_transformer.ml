@@ -29,8 +29,8 @@ let bind_weights (t : Builder.tensors) (w : Reference.weights) =
 let input_value b l j =
   sin (float_of_int ((b * 131) + (l * 17) + j)) *. 0.5
 
-let run_encoder target =
-  let built = Builder.build ~target cfg in
+let run_encoder ?jtile ?ftile target =
+  let built = Builder.build ?jtile ?ftile ~target cfg in
   let t = built.Builder.tensors in
   let w = Reference.random_weights cfg ~seed:42 in
   let weight_tensors = bind_weights t w in
@@ -71,8 +71,8 @@ let check_against_reference ~label built w rin (out : Ragged.t) reference_of =
     lens;
   ignore w
 
-let test_encoder target () =
-  let built, w, rin, data = run_encoder target in
+let test_encoder ?jtile ?ftile target () =
+  let built, w, rin, data = run_encoder ?jtile ?ftile target in
   let out = List.nth data 8 in
   check_against_reference ~label:"encoder" built w rin out (fun x ~len ->
       Reference.encoder cfg w x ~len)
@@ -159,7 +159,11 @@ let () =
     [
       ( "encoder",
         [
-          Alcotest.test_case "gpu schedules vs reference" `Quick (test_encoder Builder.Gpu);
+          (* the second input: gemm tiles off their defaults, as the
+             schedule autotuner picks them *)
+          Alcotest.test_case "gpu schedules vs reference" `Quick (fun () ->
+              test_encoder Builder.Gpu ();
+              test_encoder ~jtile:8 ~ftile:4 Builder.Gpu ());
           Alcotest.test_case "cpu schedules vs reference" `Quick (test_encoder Builder.Cpu);
           Alcotest.test_case "mha vs reference" `Quick (test_mha Builder.Gpu);
           Alcotest.test_case "odd batch sizes" `Quick test_odd_batch;
