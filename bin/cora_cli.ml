@@ -694,12 +694,7 @@ let bench_stream_cmd =
                      })
                    items)
               |> Array.to_list
-              |> List.map (function
-                   | Serving.Batcher.Served { resp; _ } -> Serving.Frontend.Response resp
-                   | Serving.Batcher.Expired { stage; _ } ->
-                       Serving.Frontend.Deadline_exceeded stage
-                   | Serving.Batcher.Failed { exn; backtrace; _ } ->
-                       Serving.Frontend.Error { exn; backtrace })
+              |> List.map (fun (s : Serving.Batcher.served) -> s.Serving.Batcher.outcome)
             else
               List.map
                 (fun r -> Serving.Frontend.Response r)
@@ -1279,10 +1274,14 @@ let bench_stream_cmd =
          every served checksum must be bitwise what a fresh untuned
          server produces for the same stream *)
       (if autotune && exec then begin
-         if tuner_totals.Autotune.Tuner.t_tunes = 0 then
-           Fmt.failwith "smoke: autotune enabled but no tune ever ran";
-         if Autotune.Tuner.memo_size () = 0 then
-           Fmt.failwith "smoke: autotune memo is empty after the replay";
+         (* a workload without a tunable descriptor (decode) always serves
+            its hand schedule, so there is no tune to require *)
+         if Option.is_some w.Serving.Workload.tunable then begin
+           if tuner_totals.Autotune.Tuner.t_tunes = 0 then
+             Fmt.failwith "smoke: autotune enabled but no tune ever ran";
+           if Autotune.Tuner.memo_size () = 0 then
+             Fmt.failwith "smoke: autotune memo is empty after the replay"
+         end;
          let srv_u =
            Serving.Server.create ~cache:(not no_cache)
              ~execute:true ~engine ~opt ()

@@ -24,11 +24,6 @@ type point = {
       (** operation splitting: lower the split pair twice, as a
           [Tiles_only] main kernel plus a [Tail_only] remainder kernel *)
   grid : bool;  (** bind the outer loops to the device grid *)
-  opt : int option;
-      (** engine optimization-level override for executing this schedule
-          ([Ir.Optimize.level_of_int]); [None] inherits the server's
-          level.  Purely an execution knob: the lowering is unchanged and
-          every level is bitwise-identical, so the point stays replay-safe *)
   aux : (string * int) list;  (** workload-specific knobs, sorted by name *)
 }
 
@@ -38,7 +33,6 @@ val make :
   ?pad:int ->
   ?op_split:bool ->
   ?grid:bool ->
-  ?opt:int ->
   ?aux:(string * int) list ->
   unit ->
   point

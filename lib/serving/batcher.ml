@@ -121,13 +121,7 @@ let plan ~tile ~max_batch (members : int array array) : Pack.plan =
 
 type member = { m_lens : int array; m_deadline_us : float; m_id : int }
 
-type outcome =
-  | Served of { resp : Server.response; batch_id : int; batch_size : int }
-  | Expired of { stage : string; batch_id : int; batch_size : int }
-  | Failed of { exn : string; backtrace : string; batch_id : int; batch_size : int }
-
-(* Raised by the mega-batch's stage check; never escapes [run]. *)
-exception Batch_expired of string
+type served = { outcome : Server.outcome; batch_id : int; batch_size : int }
 
 let next_batch_id = Atomic.make 1
 
@@ -135,7 +129,6 @@ let batches_c = Obs.Metrics.counter "batcher.batches"
 let members_c = Obs.Metrics.counter "batcher.members"
 let evicted_c = Obs.Metrics.counter "batcher.evicted"
 let expired_scatter_c = Obs.Metrics.counter "batcher.expired_at_scatter"
-let degraded_c = Obs.Metrics.counter "frontend.degraded"
 let actual_c = Obs.Metrics.counter "batcher.elems_actual"
 let padded_c = Obs.Metrics.counter "batcher.elems_padded"
 let naive_c = Obs.Metrics.counter "batcher.elems_naive"
@@ -176,7 +169,7 @@ let member_response (resp : Server.response) ~(first : bool) ~(share : float)
   }
 
 let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
-    (members : member array) : outcome array =
+    (members : member array) : served array =
   let bd =
     match w.Workload.batching with
     | Some b -> b
@@ -185,7 +178,8 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
           ("Batcher.run: workload " ^ w.Workload.name ^ " has no batching descriptor")
   in
   let n = Array.length members in
-  let out = Array.make n (Expired { stage = "batch"; batch_id = 0; batch_size = 1 }) in
+  let evicted = { outcome = Server.Deadline_exceeded "batch"; batch_id = 0; batch_size = 1 } in
+  let out = Array.make n evicted in
   let t_form = now_us () in
   (* deadline headroom: a member whose remaining budget cannot survive the
      batch is answered now instead of dragging the mega-batch down *)
@@ -194,10 +188,7 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
       (List.filter
          (fun i ->
            let alive = members.(i).m_deadline_us -. cfg.headroom_us >= t_form in
-           if not alive then begin
-             Obs.Metrics.incr evicted_c;
-             out.(i) <- Expired { stage = "batch"; batch_id = 0; batch_size = 1 }
-           end;
+           if not alive then Obs.Metrics.incr evicted_c;
            alive)
          (List.init n Fun.id))
   in
@@ -233,14 +224,11 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
            deadline — aborting the shared run would punish every member
            for the tightest budget — but each member's own deadline is
            re-checked at scatter, so a member served past its budget is
-           reported [Expired], never silently counted served *)
+           reported expired, never silently counted served *)
         let max_deadline =
           Array.fold_left (fun acc m -> Float.max acc m.m_deadline_us) neg_infinity ms
         in
-        let stage_check stage =
-          if now_us () > max_deadline then raise (Batch_expired stage)
-        in
-        let handle server =
+        let o =
           Obs.Span.with_span
             ~attrs:
               [
@@ -249,17 +237,10 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
                 ("batch_size", Obs.Trace_sink.Int size);
               ]
             "batch.run"
-            (fun () -> Server.handle ~stage_check ~fill server w mega)
+            (fun () -> Server.serve ?fallback ~fill ~deadline_us:max_deadline srv w mega)
         in
-        match
-          try handle srv
-          with Runtime.Engine.Error _ when Option.is_some fallback ->
-            (* graceful degradation, same as the unbatched path: retry
-               the whole mega-batch once on the interpreter twin *)
-            Obs.Metrics.incr degraded_c;
-            handle (Option.get fallback)
-        with
-        | resp ->
+        match o with
+        | Server.Response resp ->
             let outs =
               match resp.Server.out with
               | None -> Array.make size None
@@ -300,28 +281,18 @@ let run ?fallback (cfg : config) (srv : Server.t) (w : Workload.t)
                         ]
                       "batch.member"
                       (fun () ->
-                        if t_scatter > m.m_deadline_us then begin
-                          Obs.Metrics.incr expired_scatter_c;
-                          out.(i) <- Expired { stage = "scatter"; batch_id; batch_size = size }
-                        end
-                        else
-                          let r =
-                            member_response resp ~first:(k = !first_served) ~share outs.(k)
-                          in
-                          out.(i) <- Served { resp = r; batch_id; batch_size = size })))
+                        let outcome =
+                          if t_scatter > m.m_deadline_us then begin
+                            Obs.Metrics.incr expired_scatter_c;
+                            Server.Deadline_exceeded "scatter"
+                          end
+                          else
+                            Server.Response
+                              (member_response resp ~first:(k = !first_served) ~share outs.(k))
+                        in
+                        out.(i) <- { outcome; batch_id; batch_size = size })))
               idxs
-        | exception Batch_expired stage ->
-            Array.iter
-              (fun i -> out.(i) <- Expired { stage; batch_id; batch_size = size })
-              idxs
-        | exception e ->
-            let backtrace = Printexc.get_backtrace () in
-            Array.iter
-              (fun i ->
-                out.(i) <-
-                  Failed
-                    { exn = Printexc.to_string e; backtrace; batch_id; batch_size = size })
-              idxs)
+        | o -> Array.iter (fun i -> out.(i) <- { outcome = o; batch_id; batch_size = size }) idxs)
       p.Pack.bins;
     out
   end

@@ -3,6 +3,11 @@
     {!Server.handle} once, and scatter per-request outputs and telemetry
     back.
 
+    The batch-former serves {e one workload instance} per call: the front
+    end groups a drained window by instance (physical equality), since
+    plans and the batching descriptor belong to an instance, not to a
+    workload name — two adapters named alike may build different jobs.
+
     The CoRa angle: a ragged mega-batch pads each row to
     [ceilmult (len, tile)] instead of the dense batcher's
     [max_len]-per-batch envelope, so concatenating requests of unequal
@@ -92,21 +97,21 @@ type member = {
   m_id : int;  (** request trace-context id for the scatter-back spans *)
 }
 
-type outcome =
-  | Served of { resp : Server.response; batch_id : int; batch_size : int }
-  | Expired of { stage : string; batch_id : int; batch_size : int }
-      (** stage ["batch"] = evicted at formation ([batch_id] 0); any other
-          stage = the whole mega-batch ran out of its most generous
-          member deadline there *)
-  | Failed of { exn : string; backtrace : string; batch_id : int; batch_size : int }
+(** One member's outcome with the mega-batch that served it.  Evicted
+    members ([Deadline_exceeded "batch"]) never joined a batch: their
+    [batch_id] is 0 and [batch_size] 1.  A member of a mega-batch that
+    ran out of its most generous member deadline carries the stage it
+    reached; a member served past its own deadline is
+    [Deadline_exceeded "scatter"]. *)
+type served = { outcome : Server.outcome; batch_id : int; batch_size : int }
 
-(** Form mega-batches from one drained window of a single workload and
-    serve them.  Returns one outcome per member, in input order.  Members
-    past their deadline (minus [headroom_us]) are evicted before packing.
-    [?fallback] enables the same graceful degradation as the unbatched
-    front-end path: a {!Runtime.Engine.Error} from the compiled engine
-    retries the mega-batch once on the fallback server.  Raises
-    [Invalid_argument] if the workload has no {!Workload.batching}
-    descriptor. *)
+(** Form mega-batches from one group of same-instance requests and serve
+    them.  Returns one outcome per member, in input order.  Members past
+    their deadline (minus [headroom_us]) are evicted before packing.
+    Each mega-batch runs through {!Server.serve}, so [?fallback] gives
+    it the same degrade-and-retry step a front-end singleton gets: a
+    {!Runtime.Engine.Error} retries the whole mega-batch once on the
+    fallback server.  Raises [Invalid_argument] if the workload has no
+    {!Workload.batching} descriptor. *)
 val run :
-  ?fallback:Server.t -> config -> Server.t -> Workload.t -> member array -> outcome array
+  ?fallback:Server.t -> config -> Server.t -> Workload.t -> member array -> served array

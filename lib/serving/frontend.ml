@@ -1,6 +1,6 @@
 (** Concurrent serving front-end (see frontend.mli). *)
 
-type outcome =
+type outcome = Server.outcome =
   | Response of Server.response
   | Overloaded
   | Deadline_exceeded of string
@@ -11,10 +11,6 @@ let outcome_label = function
   | Overloaded -> "overloaded"
   | Deadline_exceeded _ -> "deadline_exceeded"
   | Error _ -> "error"
-
-(* Raised by the stage-check hook inside [Server.handle]; never escapes
-   this module. *)
-exception Expired of string
 
 type ticket = {
   tk_id : int;  (** the request id: spans carry it as trace context *)
@@ -32,24 +28,24 @@ type request = {
   ticket : ticket;
 }
 
+(* A batching front end's window config, and a self-pipe the submit path
+   writes after signalling [not_empty].  The stdlib [Condition] has no
+   timed wait, so an open batching window sleeps in [Unix.select] on the
+   read end with the window's remaining budget as the timeout — a submit
+   wakes it immediately, an idle server blocks instead of burning a core,
+   and formation latency does not quantise to a poll interval. *)
+type batching = { cfg : Batcher.config; wake_r : Unix.file_descr; wake_w : Unix.file_descr }
+
 type t = {
   srv : Server.t;
   fallback : Server.t option;  (** [`Interp] twin of a [`Compiled] server *)
   capacity : int;
   default_deadline_ns : float;  (** relative; [infinity] = none *)
-  batching : Batcher.config option;  (** [Some] routes workers through the batch-former *)
+  batching : batching option;  (** [None]: windows of one, never batched *)
   q : request Queue.t;
   lock : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
-  wake : (Unix.file_descr * Unix.file_descr) option;
-      (** batching only: a self-pipe the submit path writes after
-          signalling [not_empty].  The stdlib [Condition] has no timed
-          wait, so an open batching window sleeps in [Unix.select] on the
-          read end with the window's remaining budget as the timeout — a
-          submit wakes it immediately, an idle server blocks instead of
-          burning a core, and formation latency no longer quantises to a
-          poll interval. *)
   mutable closing : bool;
   mutable workers : unit Domain.t list;
 }
@@ -59,38 +55,34 @@ let now_us = Obs.Trace_sink.now_us
 (* Wake any batching window blocked in [Unix.select].  Both ends are
    non-blocking: a full pipe already guarantees pending wakeups, so
    EAGAIN is dropped. *)
-let wake_signal (fe_wake : (Unix.file_descr * Unix.file_descr) option) =
-  match fe_wake with
+let wake_signal (fe : t) =
+  match fe.batching with
   | None -> ()
-  | Some (_, w) -> (
+  | Some b -> (
       (* best-effort: EAGAIN = pipe full = wakeups already pending;
          EBADF = already shut down *)
-      try ignore (Unix.write w (Bytes.make 1 '\001') 0 1) with Unix.Unix_error _ -> ())
+      try ignore (Unix.write b.wake_w (Bytes.make 1 '\001') 0 1) with Unix.Unix_error _ -> ())
 
 (* Sleep until a submit writes the wake pipe or [timeout_us] elapses.
    Several batch workers select on the same read end; whoever loses the
    race to drain it just sees EAGAIN and re-checks the queue — spurious
    wakeups are harmless, missed ones impossible (the byte is written
    after the request is enqueued under the lock). *)
-let wake_wait (fe_wake : (Unix.file_descr * Unix.file_descr) option) ~(timeout_us : float) =
-  match fe_wake with
-  | None -> Unix.sleepf (Float.min timeout_us 200.0 /. 1e6)
-  | Some (r, _) -> (
-      let timeout_s = Float.max 0.0 (timeout_us /. 1e6) in
-      match Unix.select [ r ] [] [] timeout_s with
-      | [], _, _ -> ()
-      | _ -> (
-          let buf = Bytes.create 64 in
-          try ignore (Unix.read r buf 0 64)
-          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+let wake_wait (b : batching) ~(timeout_us : float) =
+  let timeout_s = Float.max 0.0 (timeout_us /. 1e6) in
+  match Unix.select [ b.wake_r ] [] [] timeout_s with
+  | [], _, _ -> ()
+  | _ -> (
+      let buf = Bytes.create 64 in
+      try ignore (Unix.read b.wake_r buf 0 64)
+      with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* module-level handles: metric lookup is off the per-request path *)
 let accepted_c = Obs.Metrics.counter "frontend.accepted"
 let rejected_c = Obs.Metrics.counter "frontend.rejected"
 let served_c = Obs.Metrics.counter "frontend.served"
 let deadline_c = Obs.Metrics.counter "frontend.deadline_exceeded"
-let degraded_c = Obs.Metrics.counter "frontend.degraded"
 let errors_c = Obs.Metrics.counter "frontend.errors"
 let queue_wait_h = Obs.Metrics.histogram "frontend.queue_wait_us"
 let queue_depth_g = Obs.Metrics.gauge "frontend.queue_depth"
@@ -128,25 +120,10 @@ let peek (tk : ticket) : outcome option =
   Mutex.unlock tk.t_lock;
   o
 
-(* ------------------------------------------------------------------ *)
-(* Worker side *)
-
-let handle_with_deadline srv (r : request) : outcome =
-  let stage_check stage = if now_us () > r.deadline_us then raise (Expired stage) in
-  match Server.handle ~stage_check srv r.workload r.lens with
-  | resp -> Response resp
-  | exception Expired stage ->
-      Obs.Metrics.incr deadline_c;
-      Deadline_exceeded stage
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Obs.Metrics.incr errors_c;
-      Error { exn = Printexc.to_string e; backtrace }
-
 (* The request's flight-recorder entry: cache/stage detail from the
    response when it has one, outcome label alone otherwise. *)
-let flight_of (r : request) ~(queue_wait_us : float) ?(batch_id = 0) ?(batch_size = 1)
-    (o : outcome) : Obs.Flight.record =
+let flight_of (r : request) ~(queue_wait_us : float) ~batch_id ~batch_size (o : outcome) :
+    Obs.Flight.record =
   let base =
     {
       Obs.Flight.id = r.id;
@@ -185,97 +162,19 @@ let flight_of (r : request) ~(queue_wait_us : float) ?(batch_id = 0) ?(batch_siz
       }
   | Overloaded | Deadline_exceeded _ | Error _ -> base
 
-(* Fault isolation: everything a request can throw is converted to a
-   typed outcome here; nothing escapes into the worker loop, so a
-   poisoned request can never take a worker domain (or a neighbour's
-   pending request) down with it.
-
-   The whole handling runs under the request's trace context
-   ([Span.with_request]): every span recorded below — including those
-   inside [Server.handle] — carries [r.id], reassemblable into one
-   admission-to-outcome chain by [Trace_sink.events_for]. *)
-let run_one (fe : t) (r : request) : outcome =
-  Obs.Span.with_request r.id @@ fun () ->
-  let queue_wait_us = now_us () -. r.submitted_us in
-  Obs.Metrics.observe queue_wait_h queue_wait_us;
-  let o =
-    Obs.Span.with_span
-      ~attrs:[ ("workload", Obs.Trace_sink.Str r.workload.Workload.name) ]
-      "frontend.request"
-    @@ fun () ->
-    let o =
-      if now_us () > r.deadline_us then begin
-        (* enforced at dequeue: a request that waited out its budget in
-           the queue is answered without doing any work *)
-        Obs.Metrics.incr deadline_c;
-        Deadline_exceeded "queue"
-      end
-      else
-        let stage_check stage = if now_us () > r.deadline_us then raise (Expired stage) in
-        match Server.handle ~stage_check fe.srv r.workload r.lens with
-        | resp ->
-            Obs.Metrics.incr served_c;
-            Response resp
-        | exception Expired stage ->
-            Obs.Metrics.incr deadline_c;
-            Deadline_exceeded stage
-        | exception Runtime.Engine.Error _ when Option.is_some fe.fallback ->
-            (* graceful degradation: the compiled engine rejected the
-               kernel — retry once on the interpreter twin before giving
-               up *)
-            Obs.Metrics.incr degraded_c;
-            let o = handle_with_deadline (Option.get fe.fallback) r in
-            (match o with Response _ -> Obs.Metrics.incr served_c | _ -> ());
-            o
-        | exception e ->
-            let backtrace = Printexc.get_backtrace () in
-            Obs.Metrics.incr errors_c;
-            Error { exn = Printexc.to_string e; backtrace }
-    in
-    Obs.Span.add_attr "outcome" (Obs.Trace_sink.Str (outcome_label o));
-    o
-  in
-  Obs.Flight.record (flight_of r ~queue_wait_us o);
-  (match o with
-  | Deadline_exceeded _ | Error _ ->
-      (* post-mortem: dump the ring (throttled, and only when armed) *)
-      ignore (Obs.Flight.auto_dump ~reason:(outcome_label o))
-  | Response _ | Overloaded -> ());
-  o
-
-let rec worker_loop (fe : t) =
-  Mutex.lock fe.lock;
-  let rec take () =
-    if not (Queue.is_empty fe.q) then begin
-      let r = Queue.pop fe.q in
-      Obs.Metrics.set queue_depth_g (Queue.length fe.q);
-      Condition.signal fe.not_full;
-      Some r
-    end
-    else if fe.closing then None
-    else begin
-      Condition.wait fe.not_empty fe.lock;
-      take ()
-    end
-  in
-  let req = take () in
-  Mutex.unlock fe.lock;
-  match req with
-  | None -> () (* closing and drained: the worker retires *)
-  | Some r ->
-      resolve r.ticket (run_one fe r);
-      worker_loop fe
-
 (* ------------------------------------------------------------------ *)
-(* Batched worker side *)
+(* Worker side: one loop — drain a window, group it, serve each group,
+   finish each request *)
 
-(* Drain one batching window: block for the first request, then hold the
-   window open — taking whatever else arrives — until it has [max_batch]
-   requests or [max_wait_us] has passed.  The open window sleeps on the
-   wake pipe with the remaining budget as the select timeout (see [wake]);
-   every submit writes the pipe, so arrivals cut the wait short instead
-   of landing between polls. *)
-let drain_window (fe : t) (cfg : Batcher.config) : request list option =
+(* Drain one window: block for the first request, then — batching only —
+   hold the window open, taking whatever else arrives, until it has
+   [max_batch] requests or [max_wait_us] has passed.  An unbatched front
+   end drains windows of one and never waits.  The open window sleeps on
+   the wake pipe with the remaining budget as the select timeout (see
+   [batching]); every submit writes the pipe, so arrivals cut the wait
+   short instead of landing between polls. *)
+let drain_window (fe : t) : request list option =
+  let window = match fe.batching with Some b -> b.cfg.Batcher.max_batch | None -> 1 in
   Mutex.lock fe.lock;
   let rec first () =
     if not (Queue.is_empty fe.q) then Some (Queue.pop fe.q)
@@ -293,19 +192,20 @@ let drain_window (fe : t) (cfg : Batcher.config) : request list option =
       let acc = ref [ r0 ] and count = ref 1 in
       let t0 = now_us () in
       let rec fill () =
-        while !count < cfg.Batcher.max_batch && not (Queue.is_empty fe.q) do
+        while !count < window && not (Queue.is_empty fe.q) do
           acc := Queue.pop fe.q :: !acc;
           incr count
         done;
-        if !count < cfg.Batcher.max_batch && not fe.closing then begin
-          let remaining_us = cfg.Batcher.max_wait_us -. (now_us () -. t0) in
-          if remaining_us > 0.0 then begin
-            Mutex.unlock fe.lock;
-            wake_wait fe.wake ~timeout_us:remaining_us;
-            Mutex.lock fe.lock;
-            fill ()
-          end
-        end
+        match fe.batching with
+        | Some b when !count < window && not fe.closing ->
+            let remaining_us = b.cfg.Batcher.max_wait_us -. (now_us () -. t0) in
+            if remaining_us > 0.0 then begin
+              Mutex.unlock fe.lock;
+              wake_wait b ~timeout_us:remaining_us;
+              Mutex.lock fe.lock;
+              fill ()
+            end
+        | _ -> ()
       in
       fill ();
       Obs.Metrics.set queue_depth_g (Queue.length fe.q);
@@ -313,9 +213,59 @@ let drain_window (fe : t) (cfg : Batcher.config) : request list option =
       Mutex.unlock fe.lock;
       Some (List.rev !acc)
 
-(* Serve one window's worth of same-workload requests through the
-   batch-former and resolve every ticket from the scattered outcomes. *)
-let run_batched (fe : t) (cfg : Batcher.config) (w : Workload.t) (rs : request list) =
+(* The finish step every request takes, singleton or batch member: its
+   outcome counter, its flight record, a post-mortem dump on a deadline
+   miss or error, then the ticket. *)
+let finish ?(batch_id = 0) ?(batch_size = 1) (r : request) ~(queue_wait_us : float)
+    (o : outcome) =
+  Obs.Metrics.observe queue_wait_h queue_wait_us;
+  Obs.Flight.record (flight_of r ~queue_wait_us ~batch_id ~batch_size o);
+  (* post-mortem: dump the ring (throttled, and only when armed) *)
+  let dump () = ignore (Obs.Flight.auto_dump ~reason:(outcome_label o)) in
+  (match o with
+  | Response _ -> Obs.Metrics.incr served_c
+  | Deadline_exceeded _ ->
+      Obs.Metrics.incr deadline_c;
+      dump ()
+  | Error _ ->
+      Obs.Metrics.incr errors_c;
+      dump ()
+  | Overloaded -> ());
+  resolve r.ticket o
+
+(* One request on its own.  Fault isolation lives in [Server.serve]:
+   everything a request can throw comes back as a typed outcome, so a
+   poisoned request can never take a worker domain (or a neighbour's
+   pending request) down with it.
+
+   The whole handling runs under the request's trace context
+   ([Span.with_request]): every span recorded below — including those
+   inside [Server.handle] — carries [r.id], reassemblable into one
+   admission-to-outcome chain by [Trace_sink.events_for]. *)
+let serve_one (fe : t) (r : request) =
+  Obs.Span.with_request r.id @@ fun () ->
+  let queue_wait_us = now_us () -. r.submitted_us in
+  let o =
+    Obs.Span.with_span
+      ~attrs:[ ("workload", Obs.Trace_sink.Str r.workload.Workload.name) ]
+      "frontend.request"
+    @@ fun () ->
+    let o =
+      (* enforced at dequeue: a request that waited out its budget in the
+         queue is answered without doing any work *)
+      if now_us () > r.deadline_us then Deadline_exceeded "queue"
+      else
+        Server.serve ?fallback:fe.fallback ~deadline_us:r.deadline_us fe.srv r.workload
+          r.lens
+    in
+    Obs.Span.add_attr "outcome" (Obs.Trace_sink.Str (outcome_label o));
+    o
+  in
+  finish r ~queue_wait_us o
+
+(* One group of same-instance requests through the batch-former, every
+   ticket finished from the scattered outcomes. *)
+let serve_batch (fe : t) (cfg : Batcher.config) (w : Workload.t) (rs : request list) =
   let rs = Array.of_list rs in
   let t_deq = now_us () in
   let members =
@@ -323,73 +273,50 @@ let run_batched (fe : t) (cfg : Batcher.config) (w : Workload.t) (rs : request l
       (fun r -> { Batcher.m_lens = r.lens; m_deadline_us = r.deadline_us; m_id = r.id })
       rs
   in
-  let outcomes =
+  let served =
     try Batcher.run ?fallback:fe.fallback cfg fe.srv w members
     with e ->
       (* forming itself failed: fail every member; the worker survives *)
       let backtrace = Printexc.get_backtrace () in
-      Obs.Metrics.incr errors_c;
-      Array.map
-        (fun _ ->
-          Batcher.Failed
-            { exn = Printexc.to_string e; backtrace; batch_id = 0; batch_size = 1 })
-        members
+      let failed = Error { exn = Printexc.to_string e; backtrace } in
+      Array.map (fun _ -> { Batcher.outcome = failed; batch_id = 0; batch_size = 1 }) members
   in
   Array.iteri
-    (fun i bo ->
-      let r = rs.(i) in
-      let queue_wait_us = t_deq -. r.submitted_us in
-      Obs.Metrics.observe queue_wait_h queue_wait_us;
-      let o, batch_id, batch_size =
-        match bo with
-        | Batcher.Served { resp; batch_id; batch_size } ->
-            Obs.Metrics.incr served_c;
-            (Response resp, batch_id, batch_size)
-        | Batcher.Expired { stage; batch_id; batch_size } ->
-            Obs.Metrics.incr deadline_c;
-            (Deadline_exceeded stage, batch_id, batch_size)
-        | Batcher.Failed { exn; backtrace; batch_id; batch_size } ->
-            Obs.Metrics.incr errors_c;
-            (Error { exn; backtrace }, batch_id, batch_size)
-      in
-      Obs.Flight.record (flight_of r ~queue_wait_us ~batch_id ~batch_size o);
-      (match o with
-      | Deadline_exceeded _ | Error _ ->
-          ignore (Obs.Flight.auto_dump ~reason:(outcome_label o))
-      | Response _ | Overloaded -> ());
-      resolve r.ticket o)
-    outcomes
+    (fun i (s : Batcher.served) ->
+      finish rs.(i) ~queue_wait_us:(t_deq -. rs.(i).submitted_us) ~batch_id:s.Batcher.batch_id
+        ~batch_size:s.Batcher.batch_size s.Batcher.outcome)
+    served
 
-(* A drained window may mix workloads; batching groups by workload name
-   (the stream drivers use one adapter instance per name), and workloads
-   without a batching descriptor fall back to the one-request path. *)
-let serve_window (fe : t) (cfg : Batcher.config) (reqs : request list) =
-  let groups : (string, request list ref) Hashtbl.t = Hashtbl.create 4 in
-  let order = ref [] in
+(* A drained window may mix workloads.  It is grouped by workload
+   instance (physical equality): plans and batching descriptors belong to
+   an instance, and two instances may share a name.  Under batching,
+   every group of a batchable workload goes through the batch-former,
+   even a group of one; everything else is served as singletons. *)
+let serve_window (fe : t) (reqs : request list) =
+  let groups =
+    List.fold_left
+      (fun gs r ->
+        match List.assq_opt r.workload gs with
+        | Some rs ->
+            rs := r :: !rs;
+            gs
+        | None -> (r.workload, ref [ r ]) :: gs)
+      [] reqs
+  in
   List.iter
-    (fun r ->
-      let key = r.workload.Workload.name in
-      match Hashtbl.find_opt groups key with
-      | Some l -> l := r :: !l
-      | None ->
-          Hashtbl.add groups key (ref [ r ]);
-          order := key :: !order)
-    reqs;
-  List.iter
-    (fun key ->
-      let rs = List.rev !(Hashtbl.find groups key) in
-      let w = (List.hd rs).workload in
-      match w.Workload.batching with
-      | None -> List.iter (fun r -> resolve r.ticket (run_one fe r)) rs
-      | Some _ -> run_batched fe cfg w rs)
-    (List.rev !order)
+    (fun (w, rs) ->
+      let rs = List.rev !rs in
+      match (fe.batching, w.Workload.batching) with
+      | Some b, Some _ -> serve_batch fe b.cfg w rs
+      | _ -> List.iter (serve_one fe) rs)
+    (List.rev groups)
 
-let rec batch_worker_loop (fe : t) (cfg : Batcher.config) =
-  match drain_window fe cfg with
+let rec worker_loop (fe : t) =
+  match drain_window fe with
   | None -> () (* closing and drained: the worker retires *)
   | Some reqs ->
-      serve_window fe cfg reqs;
-      batch_worker_loop fe cfg
+      serve_window fe reqs;
+      worker_loop fe
 
 (* ------------------------------------------------------------------ *)
 (* Client side *)
@@ -404,14 +331,14 @@ let create ?(domains = 4) ?(capacity = 64) ?deadline_ns ?batching (srv : Server.
     | `Compiled -> Some (Server.with_engine srv `Interp)
     | `Interp -> None
   in
-  let wake =
-    match batching with
-    | None -> None
-    | Some _ ->
-        let r, w = Unix.pipe () in
-        Unix.set_nonblock r;
-        Unix.set_nonblock w;
-        Some (r, w)
+  let batching =
+    Option.map
+      (fun cfg ->
+        let wake_r, wake_w = Unix.pipe () in
+        Unix.set_nonblock wake_r;
+        Unix.set_nonblock wake_w;
+        { cfg; wake_r; wake_w })
+      batching
   in
   let fe =
     {
@@ -424,17 +351,11 @@ let create ?(domains = 4) ?(capacity = 64) ?deadline_ns ?batching (srv : Server.
       lock = Mutex.create ();
       not_empty = Condition.create ();
       not_full = Condition.create ();
-      wake;
       closing = false;
       workers = [];
     }
   in
-  let loop =
-    match batching with
-    | None -> fun () -> worker_loop fe
-    | Some cfg -> fun () -> batch_worker_loop fe cfg
-  in
-  fe.workers <- List.init domains (fun _ -> Domain.spawn loop);
+  fe.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop fe));
   fe
 
 let deadline_of fe deadline_ns submitted_us =
@@ -470,7 +391,7 @@ let enqueue ~wait_for_space ?deadline_ns (fe : t) (w : Workload.t) (lens : int a
     Condition.signal fe.not_empty
   end;
   Mutex.unlock fe.lock;
-  if admitted then wake_signal fe.wake;
+  if admitted then wake_signal fe;
   Obs.Span.add_attr "admitted" (Obs.Trace_sink.Str (if admitted then "yes" else "no"));
   if admitted then Obs.Metrics.incr accepted_c
   else begin
@@ -495,14 +416,14 @@ let shutdown (fe : t) =
   Condition.broadcast fe.not_empty;
   Condition.broadcast fe.not_full;
   Mutex.unlock fe.lock;
-  wake_signal fe.wake;
+  wake_signal fe;
   List.iter Domain.join fe.workers;
   fe.workers <- [];
-  match fe.wake with
-  | None -> ()
-  | Some (r, w) ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      (try Unix.close w with Unix.Unix_error _ -> ())
+  Option.iter
+    (fun b ->
+      (try Unix.close b.wake_r with Unix.Unix_error _ -> ());
+      try Unix.close b.wake_w with Unix.Unix_error _ -> ())
+    fe.batching
 
 let queue_length (fe : t) =
   Mutex.lock fe.lock;

@@ -13,6 +13,16 @@
     alternative: it applies backpressure (waits for a queue slot) rather
     than rejecting, which is what a replay driver wants.
 
+    {2 One worker loop}
+
+    Every worker, batched or not, runs one loop: drain a window from the
+    queue, group it by workload instance (physical equality — plans and
+    batching descriptors belong to an instance, and two instances may
+    share a name), serve each group, and finish each request (flight
+    record, post-mortem dump on a deadline miss or error, ticket).  An
+    unbatched front end drains windows of one and never waits; it never
+    enters the batch-former.
+
     {2 Deadline semantics}
 
     A request may carry a deadline (relative, in nanoseconds, fixed at
@@ -28,14 +38,15 @@
 
     {2 Fault isolation and degradation}
 
-    An exception escaping one request's workload is caught at the worker
-    loop, converted into an {!Error} outcome carrying the exception text
+    An exception escaping one request's workload is converted by
+    {!Server.serve} into an {!Error} outcome carrying the exception text
     and backtrace, and counted in [frontend.errors] — it never kills the
     worker domain, and later requests are served normally.  One failure
     is special-cased: if a [`Compiled]-engine server raises
     {!Runtime.Engine.Error} (the engine rejecting a kernel it cannot
-    compile), the request is retried {e once} on an [`Interp] twin of
-    the server (graceful degradation, counted in [frontend.degraded]);
+    compile), the request — or the whole mega-batch it rode in — is
+    retried {e once} on an [`Interp] twin of the server (graceful
+    degradation, counted in [frontend.degraded] once per retried run);
     only if that retry also fails does the client see an error.
 
     Every submitted request resolves to exactly one outcome; {!shutdown}
@@ -55,12 +66,14 @@
     {!Obs.Flight.auto_dump}.  The [frontend.queue_depth] gauge tracks
     the queue at every enqueue/dequeue. *)
 
-type outcome =
+(** {!Server.outcome}, re-exported: every path through the front end —
+    singleton or mega-batch member — resolves to this one type. *)
+type outcome = Server.outcome =
   | Response of Server.response  (** served normally (or on the degraded engine) *)
   | Overloaded  (** rejected at admission: the queue was full *)
   | Deadline_exceeded of string
-      (** expired; the payload is the stage reached ("queue", "compile",
-          "prelude", "launch", "execute") *)
+      (** expired; the payload is the stage reached ("queue", "batch",
+          "compile", "prelude", "launch", "execute", "scatter") *)
   | Error of { exn : string; backtrace : string }
       (** the workload raised; the worker survived *)
 
@@ -78,12 +91,15 @@ type t
     [?batching] switches the workers to continuous batching: each worker
     drains a window of requests (up to [max_batch], holding the window
     open up to [max_wait_us] once the first request lands), groups it by
-    workload, and serves each group through {!Batcher.run} as tile-packed
-    ragged mega-batches — outputs and telemetry are scattered back per
-    request, so tickets, outcomes, deadlines ([Deadline_exceeded "batch"]
-    for members evicted at formation) and flight records behave exactly
-    as in the unbatched mode.  Workloads without a {!Workload.batching}
-    descriptor are served as singletons even under [?batching]. *)
+    workload instance, and serves every group of a batchable workload —
+    even a group of one — through {!Batcher.run} as tile-packed ragged
+    mega-batches.  Outputs and telemetry are scattered back per request,
+    so tickets, outcomes, deadlines ([Deadline_exceeded "batch"] for
+    members evicted at formation, ["scatter"] for members served past
+    their own deadline) and flight records behave exactly as in the
+    unbatched mode.  Workloads without a {!Workload.batching} descriptor
+    are served as singletons even under [?batching]; a singleton's flight
+    record carries [batch_id] 0 and [batch_size] 1. *)
 val create :
   ?domains:int ->
   ?capacity:int ->

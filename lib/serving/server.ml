@@ -68,11 +68,6 @@ let reset_caches () =
   Autotune.Tuner.clear ();
   Workload.clear_caches ()
 
-(* A tuned point may carry an engine opt-level override (the tuner's opt
-   axis); every level is bitwise-identical, so this never changes the
-   response payload. *)
-let plan_opt srv = function Some o -> Ir.Optimize.level_of_int o | None -> srv.opt
-
 let default_fill name idx =
   let h =
     List.fold_left
@@ -151,7 +146,7 @@ let execute ?(fill = default_fill) (srv : t) (plan : Workload.plan) :
     (fun name r -> if not (Hashtbl.mem written name) then Ragged.fill r (fill name))
     raggeds;
   let env, _ =
-    Exec.run ~engine:srv.engine ~opt:(plan_opt srv plan.Workload.opt)
+    Exec.run ~engine:srv.engine ~opt:srv.opt
       ~prelude:plan.Workload.built ?compiled:plan.Workload.compiled ~lenv:job.Workload.lenv
       ~bindings:!bindings job.Workload.kernels
   in
@@ -177,11 +172,11 @@ let defs_of (job : Workload.job) =
 
 (* The job's kernels compiled through the engine memo (compiled engine
    only), with the memo's hits and misses among them. *)
-let compile_job srv opt (job : Workload.job) =
+let compile_job srv (job : Workload.job) =
   match srv.engine with
   | `Interp -> (None, 0, 0)
   | `Compiled ->
-      let cs = List.map (Exec.compile_cached ~opt) job.Workload.kernels in
+      let cs = List.map (Exec.compile_cached ~opt:srv.opt) job.Workload.kernels in
       let hits = List.length (List.filter snd cs) in
       (Some (List.map fst cs), hits, List.length cs - hits)
 
@@ -207,11 +202,10 @@ let prelude_of srv (w : Workload.t) ~key_of lens (job : Workload.job) =
 
 (* Model time: the launches are timed against the plan's prelude (no
    rebuild inside the pipeline). *)
-let plan_of srv ~job ~tuner ~opt ~compiled built =
+let plan_of srv ~job ~tuner ~compiled built =
   {
     Workload.job;
     tuner;
-    opt;
     tables_hex = Sig.to_hex (Sig.of_tables job.Workload.tables);
     built;
     pipeline =
@@ -226,7 +220,6 @@ let plan_of srv ~job ~tuner ~opt ~compiled built =
 type miss = {
   m_job : Workload.job;
   m_tuner : string;
-  m_opt : int option;
   m_compiled : Runtime.Engine.compiled list option;
   m_pending : (Autotune.Tuner.cfg * Workload.tunable * Sig.t) option;
   m_memo : Lower.memo_stats;
@@ -238,7 +231,7 @@ let lower srv (w : Workload.t) lens : miss =
   let build f =
     Lower.with_memo ~cache:srv.cache (fun () -> Obs.Span.with_span "serve.compile" f)
   in
-  let (job, memo), tuner, opt, pending =
+  let (job, memo), tuner, pending =
     match (srv.autotune, w.Workload.tunable) with
     | Some cfg, Some tn -> (
         let key =
@@ -247,20 +240,16 @@ let lower srv (w : Workload.t) lens : miss =
         in
         match Autotune.Tuner.lookup key with
         | Some { Autotune.Tuner.point = Some p; _ } ->
-            ( build (fun () -> tn.Workload.build_tuned p lens),
-              "tuned",
-              p.Autotune.Space.opt,
-              None )
-        | Some _ -> (build (fun () -> w.Workload.build lens), "hand", None, None)
+            (build (fun () -> tn.Workload.build_tuned p lens), "tuned", None)
+        | Some _ -> (build (fun () -> w.Workload.build lens), "hand", None)
         (* serve the hand schedule now; tune after the response *)
-        | None -> (build (fun () -> w.Workload.build lens), "miss", None, Some (cfg, tn, key)))
-    | _ -> (build (fun () -> w.Workload.build lens), "off", None, None)
+        | None -> (build (fun () -> w.Workload.build lens), "miss", Some (cfg, tn, key)))
+    | _ -> (build (fun () -> w.Workload.build lens), "off", None)
   in
-  let compiled, hits, misses = compile_job srv (plan_opt srv opt) job in
+  let compiled, hits, misses = compile_job srv job in
   {
     m_job = job;
     m_tuner = tuner;
-    m_opt = opt;
     m_compiled = compiled;
     m_pending = pending;
     m_memo = memo;
@@ -319,7 +308,7 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
         in
         let p =
           staged "launch" @@ fun () ->
-          plan_of srv ~job:m.m_job ~tuner:m.m_tuner ~opt:m.m_opt ~compiled:m.m_compiled built
+          plan_of srv ~job:m.m_job ~tuner:m.m_tuner ~compiled:m.m_compiled built
         in
         if srv.cache && Option.is_none m.m_pending then Cache.add w.Workload.job_cache key p;
         (p, Some m)
@@ -383,9 +372,8 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
                  let tuned, _ =
                    Lower.with_memo ~cache:true (fun () -> tn.Workload.build_tuned p lens)
                  in
-                 let opt = p.Autotune.Space.opt in
-                 let compiled, _, _ = compile_job srv (plan_opt srv opt) tuned in
-                 plan_of srv ~job:tuned ~tuner:"tuned" ~opt ~compiled
+                 let compiled, _, _ = compile_job srv tuned in
+                 plan_of srv ~job:tuned ~tuner:"tuned" ~compiled
                    (prelude_of srv w ~key_of lens tuned)
            in
            Cache.add w.Workload.job_cache key winner);
@@ -417,3 +405,33 @@ let handle ?(stage_check = fun (_ : string) -> ()) ?fill (srv : t) (w : Workload
     out;
     checksum;
   }
+
+(* ---- serving with deadlines, fault isolation and degradation ---- *)
+
+type outcome =
+  | Response of response
+  | Overloaded
+  | Deadline_exceeded of string
+  | Error of { exn : string; backtrace : string }
+
+(* Raised by [serve]'s stage check; never escapes [serve]. *)
+exception Expired of string
+
+let degraded_c = Obs.Metrics.counter "frontend.degraded"
+
+let serve ?fallback ?fill ~deadline_us (srv : t) (w : Workload.t) (lens : int array) : outcome =
+  let stage_check stage = if Obs.Trace_sink.now_us () > deadline_us then raise (Expired stage) in
+  let attempt srv = Response (handle ~stage_check ?fill srv w lens) in
+  match
+    try attempt srv
+    with Runtime.Engine.Error _ when Option.is_some fallback ->
+      (* graceful degradation: the compiled engine rejected a kernel —
+         retry once on the interpreter twin before giving up *)
+      Obs.Metrics.incr degraded_c;
+      attempt (Option.get fallback)
+  with
+  | o -> o
+  | exception Expired stage -> Deadline_exceeded stage
+  | exception e ->
+      let backtrace = Printexc.get_backtrace () in
+      Error { exn = Printexc.to_string e; backtrace }

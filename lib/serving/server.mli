@@ -102,7 +102,7 @@ val with_engine : t -> Cora.Exec.engine -> t
     [?stage_check] is invoked with the stage name ("compile", "prelude",
     "launch", "execute") immediately before each pipeline stage; raising
     from it aborts the request between stages — the deadline-enforcement
-    hook of {!Frontend}.  Per-request hit/miss counts come from the
+    hook of {!serve}.  Per-request hit/miss counts come from the
     plan build itself (lowering scoped through {!Cora.Lower.with_memo},
     engine-memo flags from {!Cora.Exec.compile_cached}), never from
     global counter deltas, so they stay exact when requests run
@@ -129,3 +129,34 @@ val reset_caches : unit -> unit
 (** Deterministic input fill used for every tensor that is read but never
     written: a hash of the tensor name and multi-index. *)
 val default_fill : string -> int list -> float
+
+(** A request's typed result — the one outcome type of every serving
+    path: a {!Frontend} singleton, a {!Batcher} mega-batch member and the
+    CLI's serial batched replay all return it ({!Frontend.outcome} is
+    this type re-exported). *)
+type outcome =
+  | Response of response  (** served normally (or on the degraded engine) *)
+  | Overloaded  (** rejected at admission: the front end's queue was full *)
+  | Deadline_exceeded of string
+      (** expired; the payload is the stage reached: ["queue"] (at
+          dequeue), ["batch"] (evicted while a mega-batch formed),
+          ["compile"], ["prelude"], ["launch"], ["execute"] (between
+          {!handle}'s stages) or ["scatter"] (a mega-batch member served
+          past its own deadline) *)
+  | Error of { exn : string; backtrace : string }
+      (** the workload raised; the worker survived *)
+
+(** [serve ~deadline_us srv w lens] — {!handle} as a typed outcome: the
+    absolute deadline ([Trace_sink.now_us] clock; [infinity] = none) is
+    checked before each stage ([Deadline_exceeded stage]), and any
+    exception becomes [Error] with its backtrace.  With [?fallback], a
+    {!Runtime.Engine.Error} (the compiled engine rejecting a kernel) is
+    retried once on [fallback] — the interpreter twin — and counted in
+    [frontend.degraded].  The one degrade-and-retry step: it serves a
+    front-end singleton and a whole mega-batch alike.  Never returns
+    [Overloaded]. *)
+val serve :
+  ?fallback:t ->
+  ?fill:(string -> int list -> float) ->
+  deadline_us:float ->
+  t -> Workload.t -> int array -> outcome

@@ -25,7 +25,6 @@ type tunable = {
 type plan = {
   job : job;
   tuner : string;
-  opt : int option;
   tables_hex : string;
   built : Prelude.built;
   pipeline : Machine.Launch.pipeline_time;
@@ -346,11 +345,7 @@ let vgemm ?(batch = 4) ?(tile = 32)
           List.filter_map
             (fun t ->
               if t <> tile && divides t then Some (Autotune.Space.make ~split:t ()) else None)
-            [ 4; 8; 16; 32 ]
-          (* the opt axis: same hand schedule, engine at the O3
-             stride-specialized microkernel level — execution-only, so
-             still bitwise under replay *)
-          @ [ Autotune.Space.make ~opt:3 () ]);
+            [ 4; 8; 16; 32 ]);
       build_tuned =
         (fun p dims ->
           let t = if p.Autotune.Space.split > 0 then p.Autotune.Space.split else tile in
@@ -488,7 +483,6 @@ let encoder ?(base = false) ?(batch = 4) ~(dataset : Workloads.Datasets.t) () : 
             make ~aux:[ ("jtile", 16) ] ();
             make ~aux:[ ("jtile", 16); ("ftile", 4) ] ();
             make ~aux:[ ("jtile", 4) ] ();
-            make ~opt:3 ();
           ]
     in
     {
@@ -563,22 +557,14 @@ let decode ?(batch = 4) ?(max_src = 24) () : t =
     in
     { rows; merge; local_index; split }
   in
-  (* The decode schedules are fixed by the cache layout (seq_pad fused
-     sweep); only the engine opt level is worth searching. *)
-  let tunable =
-    {
-      tables_of =
-        (fun lens -> [ ("tgt", Array.make (Array.length lens) 1); ("src", lens) ]);
-      space = (fun _ -> Autotune.Space.[ make (); make ~opt:3 () ]);
-      build_tuned = (fun _ lens -> job_of lens);
-    }
-  in
   {
     name = "decode";
     sample = (fun rng -> Array.init batch (fun _ -> 1 + Workloads.Rng.int rng max_src));
     build;
     batching = Some batching;
-    tunable = Some tunable;
+    (* the schedule is fixed by the cache layout (seq_pad fused sweep):
+       there is nothing to tune *)
+    tunable = None;
     (* One decode step extends every cache row by one token, so the
        predecessor's lengths are the current ones minus one.  Rows
        already at length 1 have no predecessor (that step was the

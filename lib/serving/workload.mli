@@ -82,7 +82,6 @@ type tunable = {
 type plan = {
   job : job;
   tuner : string;  (** tuner state to report: ["off"], ["hand"], ["tuned"] *)
-  opt : int option;  (** tuned point's engine opt-level override, if any *)
   tables_hex : string;  (** {!Cora.Sig.to_hex} of [Sig.of_tables job.tables] *)
   built : Cora.Prelude.built;
   pipeline : Machine.Launch.pipeline_time;

@@ -159,9 +159,9 @@ let check_bitwise name w tile members_lens =
       ~engine:`Compiled ()
   in
   Array.iteri
-    (fun i o ->
+    (fun i (o : B.served) ->
       match o with
-      | B.Served { resp; batch_id; batch_size } ->
+      | { B.outcome = Serving.Server.Response resp; batch_id; batch_size } ->
           Alcotest.(check bool)
             (Printf.sprintf "%s member %d: real batch id" name i)
             true (batch_id > 0 && batch_size >= 1);
@@ -214,22 +214,22 @@ let test_eviction () =
   let before = Obs.Metrics.value evicted in
   let outs = B.run B.default_config srv w members in
   (match outs.(1) with
-  | B.Expired { stage; batch_id; _ } ->
+  | { B.outcome = Serving.Server.Deadline_exceeded stage; batch_id; _ } ->
       Alcotest.(check string) "evicted at formation" "batch" stage;
       Alcotest.(check int) "never joined a batch" 0 batch_id
   | _ -> Alcotest.fail "expired member was not evicted");
   Alcotest.(check int) "eviction counted" (before + 1) (Obs.Metrics.value evicted);
   Array.iter
     (fun i ->
-      match outs.(i) with
-      | B.Served _ -> ()
+      match outs.(i).B.outcome with
+      | Serving.Server.Response _ -> ()
       | _ -> Alcotest.failf "live member %d was not served" i)
     [| 0; 2 |]
 
 (* Regression: the mega-batch runs under the MOST GENEROUS member
    deadline (aborting the shared run would punish everyone for the
    tightest budget), so a tight-deadline member sharing a batch with a
-   lax one used to be reported [Served] even when the shared run
+   lax one used to be reported served even when the shared run
    finished well past its own budget.  Each member's own deadline must
    be re-checked at scatter. *)
 let test_scatter_deadline () =
@@ -256,14 +256,14 @@ let test_scatter_deadline () =
   let before = Obs.Metrics.value expired_scatter in
   let outs = B.run B.default_config srv w members in
   (match outs.(1) with
-  | B.Expired { stage; batch_id; batch_size } ->
+  | { B.outcome = Serving.Server.Deadline_exceeded stage; batch_id; batch_size } ->
       Alcotest.(check string) "expired at scatter, not formation" "scatter" stage;
       Alcotest.(check bool) "joined a real batch" true (batch_id > 0 && batch_size = 2)
   | _ -> Alcotest.fail "member reported served past its own deadline");
   Alcotest.(check int) "scatter expiry counted" (before + 1)
     (Obs.Metrics.value expired_scatter);
-  match outs.(0) with
-  | B.Served _ -> ()
+  match outs.(0).B.outcome with
+  | Serving.Server.Response _ -> ()
   | _ -> Alcotest.fail "lax member was not served"
 
 (* ---------------- arena size classes ---------------- *)
@@ -305,8 +305,8 @@ let test_window_repeat_flat () =
     (Obs.Metrics.value miss);
   Array.iteri
     (fun i o ->
-      match (first.(i), o) with
-      | B.Served { resp = a; _ }, B.Served { resp = b; _ } ->
+      match (first.(i).B.outcome, o.B.outcome) with
+      | Serving.Server.Response a, Serving.Server.Response b ->
           Alcotest.(check bool)
             (Printf.sprintf "member %d: repeat is bitwise identical" i)
             true

@@ -12,7 +12,10 @@
    - fault isolation: a workload that raises produces an Error outcome
      carrying the exception text, and the worker domain survives it;
    - degradation: a compiled-engine failure is retried once on the
-     interpreter twin and counted in frontend.degraded. *)
+     interpreter twin and counted in frontend.degraded, for a singleton
+     and for a whole mega-batch alike;
+   - grouping: a batching window groups by workload instance, so two
+     instances sharing a name never share a mega-batch. *)
 
 let base = Serving.Workload.fig1 ~batch:4 ~max_len:6 ()
 
@@ -184,6 +187,36 @@ let test_drain_window_wakeup () =
   ignore (get_response "lone request served" (Serving.Frontend.await (Serving.Frontend.submit fe2 base shape)));
   Serving.Frontend.shutdown fe2
 
+(* Regression: a batching window used to group its requests by workload
+   name, while plans and batching descriptors belong to an instance.  A
+   tiny and a base encoder (both named "encoder") sharing one window were
+   packed into one mega-batch built by whichever came first, and the base
+   request came back with the tiny model's output.  Each must come back
+   bitwise equal to its own instance's solo serve. *)
+let test_same_name_instances () =
+  Serving.Server.reset_caches ();
+  let dataset = Workloads.Datasets.squad in
+  let tiny = Serving.Workload.encoder ~dataset () in
+  let big = Serving.Workload.encoder ~base:true ~dataset () in
+  let lens = [| 7; 5 |] in
+  let srv = Serving.Server.create ~engine:`Compiled ~opt:Ir.Optimize.O3 () in
+  let solo w = Option.get (Serving.Server.handle srv w lens).Serving.Server.out in
+  let solo_tiny = solo tiny and solo_big = solo big in
+  (* the window closes on its second member; the long wait is a backstop *)
+  let batching =
+    { Serving.Batcher.default_config with max_batch = 2; max_wait_us = 30_000_000.0 }
+  in
+  let fe = Serving.Frontend.create ~domains:1 ~batching srv in
+  let a = Serving.Frontend.submit fe tiny lens in
+  let b = Serving.Frontend.submit fe big lens in
+  let ra = get_response "tiny encoder" (Serving.Frontend.await a) in
+  let rb = get_response "base encoder" (Serving.Frontend.await b) in
+  Serving.Frontend.shutdown fe;
+  Alcotest.(check bool) "tiny encoder bitwise equal to its solo serve" true
+    (bits_equal solo_tiny (Option.get ra.Serving.Server.out));
+  Alcotest.(check bool) "base encoder bitwise equal to its solo serve" true
+    (bits_equal solo_big (Option.get rb.Serving.Server.out))
+
 (* ---------------- admission control ---------------- *)
 
 let test_admission_overload () =
@@ -292,6 +325,49 @@ let test_degradation () =
     (bits_equal (Option.get direct.Serving.Server.out) (Option.get r.Serving.Server.out));
   Serving.Frontend.shutdown fe
 
+(* The same degrade-and-retry step inside a batched window: the
+   mega-batch's compiled build raises the engine's rejection, and the
+   whole mega-batch is retried once on the interpreter twin. *)
+let test_batched_degradation () =
+  Serving.Server.reset_caches ();
+  let calls = Atomic.make 0 in
+  let flaky =
+    {
+      base with
+      Serving.Workload.name = "flaky";
+      build =
+        (fun lens ->
+          if Atomic.fetch_and_add calls 1 = 0 then
+            raise (Runtime.Engine.Error "synthetic kernel rejection")
+          else base.Serving.Workload.build lens);
+    }
+  in
+  let shapes = [ [| 5; 3; 6; 2 |]; [| 4; 2; 7 |] ] in
+  let srv = Serving.Server.create ~engine:`Compiled () in
+  (* the window closes on its second member; the long wait is a backstop *)
+  let batching =
+    { Serving.Batcher.default_config with max_batch = 2; max_wait_us = 30_000_000.0 }
+  in
+  let fe = Serving.Frontend.create ~domains:1 ~batching srv in
+  let degraded () = Obs.Metrics.value (Obs.Metrics.counter "frontend.degraded") in
+  let before = degraded () in
+  let tickets = List.map (fun lens -> Serving.Frontend.submit fe flaky lens) shapes in
+  let resps =
+    List.map (fun t -> get_response "flaky member" (Serving.Frontend.await t)) tickets
+  in
+  Serving.Frontend.shutdown fe;
+  Alcotest.(check int) "one retry for the whole mega-batch" (before + 1) (degraded ());
+  Alcotest.(check int) "mega-batch built twice" 2 (Atomic.get calls);
+  let interp = Serving.Server.create ~engine:`Interp () in
+  List.iteri
+    (fun i (lens, (r : Serving.Server.response)) ->
+      let direct = Serving.Server.handle interp base lens in
+      Alcotest.(check bool)
+        (Printf.sprintf "member %d bitwise equal to its interp solo serve" i)
+        true
+        (bits_equal (Option.get direct.Serving.Server.out) (Option.get r.Serving.Server.out)))
+    (List.combine shapes resps)
+
 let () =
   Alcotest.run "frontend"
     [
@@ -305,6 +381,8 @@ let () =
             test_batched_deadline;
           Alcotest.test_case "drain window wakes on submit, times out alone" `Quick
             test_drain_window_wakeup;
+          Alcotest.test_case "window grouped by instance, not name" `Quick
+            test_same_name_instances;
         ] );
       ( "admission",
         [ Alcotest.test_case "full queue rejects typed, non-blocking" `Quick test_admission_overload ] );
@@ -314,5 +392,7 @@ let () =
         [
           Alcotest.test_case "exception becomes Error, worker survives" `Quick test_fault_isolation;
           Alcotest.test_case "compiled failure degrades to interp" `Quick test_degradation;
+          Alcotest.test_case "batched failure degrades once per mega-batch" `Quick
+            test_batched_degradation;
         ] );
     ]
